@@ -564,9 +564,10 @@ fn execute_run(
     let config = SimConfig::new(*scenario.game(), scenario.epochs(), run.seed)
         .map_err(job_err)?
         .with_options(*scenario.options());
+    let jobs = resolve_run_jobs(run.jobs, opts);
     let mut streams = scenario
         .population()
-        .spawn_streams(run.seed)
+        .spawn_streams_jobs(run.seed, jobs)
         .map_err(job_err)?;
     let guard = RunGuard {
         deadline: None,
@@ -577,7 +578,7 @@ fn execute_run(
         &mut streams,
         policy.as_mut(),
         &guard,
-        resolve_run_jobs(run.jobs, opts),
+        jobs,
         telemetry,
     )
     .map_err(job_err)?;

@@ -479,9 +479,10 @@ impl Scenario {
         self.execute_jobs(kind, seed, 1, telemetry)
     }
 
-    /// [`Scenario::execute`] with the engine's agent kernel fanned out
-    /// over `jobs` scoped threads ([`engine::run_jobs`]). The result is
-    /// byte-identical at every job count.
+    /// [`Scenario::execute`] with the population build
+    /// ([`Population::spawn_streams_jobs`]) and the engine's agent kernel
+    /// ([`engine::run_jobs`]) fanned out over `jobs` threads. The result
+    /// is byte-identical at every job count.
     ///
     /// # Errors
     ///
@@ -494,7 +495,7 @@ impl Scenario {
         telemetry: &mut Telemetry,
     ) -> crate::Result<SimResult> {
         let config = SimConfig::new(self.game, self.epochs, seed)?.with_options(self.options);
-        let mut streams = self.population.spawn_streams(seed)?;
+        let mut streams = self.population.spawn_streams_jobs(seed, jobs)?;
         let solve_span = telemetry.enabled().then(|| telemetry.spans.start());
         let mut policy = self.policy(kind, seed, telemetry)?;
         if let Some(start) = solve_span {

@@ -1123,7 +1123,9 @@ fn run_trial(
         )?);
     }
     let config = SimConfig::new(game, spec.epochs, trial.seed)?.with_options(*scenario.options());
-    let mut streams = scenario.population().spawn_streams(trial.seed)?;
+    let mut streams = scenario
+        .population()
+        .spawn_streams_jobs(trial.seed, intra_jobs)?;
     let result = engine::run_guarded(
         &config,
         &mut streams,

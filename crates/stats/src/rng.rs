@@ -9,6 +9,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The SplitMix64 state increment (the golden-ratio constant).
+const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Advance a SplitMix64 state and return the next output word.
 ///
 /// SplitMix64 is the standard generator for deriving independent seeds from
@@ -16,7 +19,7 @@ use rand::SeedableRng;
 /// sampling itself, only for seeding [`StdRng`] instances.
 #[must_use]
 pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -57,6 +60,29 @@ impl SeedSequence {
     /// Produce a generator seeded with the next child seed.
     pub fn next_rng(&mut self) -> StdRng {
         StdRng::seed_from_u64(self.next_seed())
+    }
+
+    /// The child seed the `(index + 1)`-th [`SeedSequence::next_seed`]
+    /// call from here would return, without advancing the sequence.
+    ///
+    /// SplitMix64 steps its state by a constant, so the `i`-th state is
+    /// one multiply-add away: seeds can be taken out of order, on any
+    /// thread, and still equal the sequential ones.
+    ///
+    /// ```
+    /// use sprint_stats::rng::SeedSequence;
+    ///
+    /// let seq = SeedSequence::new(42);
+    /// let mut walk = seq;
+    /// let _ = walk.next_seed();
+    /// assert_eq!(seq.seed_at(1), walk.next_seed());
+    /// ```
+    #[must_use]
+    pub fn seed_at(&self, index: u64) -> u64 {
+        let mut state = self
+            .state
+            .wrapping_add(index.wrapping_mul(SPLITMIX64_GAMMA));
+        splitmix64(&mut state)
     }
 
     /// Derive a seed for a named stream without advancing this sequence.
@@ -241,6 +267,28 @@ mod tests {
         let mut b = SeedSequence::new(2);
         let hits = (0..64).filter(|_| a.next_seed() == b.next_seed()).count();
         assert_eq!(hits, 0);
+    }
+
+    #[test]
+    fn seed_at_equals_sequential_seeds() {
+        // Masters near u64::MAX make the state addition wrap within the
+        // first few steps.
+        for master in [
+            0,
+            1,
+            42,
+            u64::MAX,
+            u64::MAX - 1,
+            u64::MAX - 0x9E37_79B9_7F4A_7C14,
+        ] {
+            let at = SeedSequence::new(master);
+            let mut walk = at;
+            for i in 0..10_000 {
+                assert_eq!(at.seed_at(i), walk.next_seed(), "master {master:#x}, i {i}");
+            }
+            // Indexed from the current position, not from the master.
+            assert_eq!(walk.seed_at(0), walk.next_seed());
+        }
     }
 
     #[test]

@@ -8,17 +8,25 @@
 //! shapes and instantiates per-agent utility streams with independent
 //! seeds and randomized arrival offsets.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use sprint_stats::rng::SeedSequence;
 
 use crate::benchmark::Benchmark;
-use crate::phases::PhasedUtility;
+use crate::phases::{Cohort, PhasedUtility, DEFAULT_PERSISTENCE_EPOCHS};
 use crate::WorkloadError;
 
 /// Maximum random arrival offset, epochs. Offsets decorrelate the phase
 /// processes of agents running the same application.
 const MAX_ARRIVAL_OFFSET_EPOCHS: usize = 64;
+
+/// Fewest agents worth a thread of their own in the arrival walk (about
+/// 13 ms of walking at the ~0.8 µs per agent measured on a 2-vCPU x86-64
+/// VM): smaller spans stay on the caller's thread, so paper-scale
+/// populations never pay a thread spawn.
+const MIN_SPAN_AGENTS: usize = 1 << 14;
 
 /// A population of agents, each assigned a benchmark.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,49 +135,80 @@ impl Population {
     }
 
     /// Instantiate per-agent utility streams with independent seeds and
-    /// randomized arrival offsets derived from `master_seed`.
+    /// randomized arrival offsets derived from `master_seed`, on the
+    /// caller's thread. Same as [`Population::spawn_streams_jobs`] with
+    /// one job.
     ///
     /// # Errors
     ///
     /// Never fails for the built-in benchmarks; the `Result` propagates
     /// stream-construction errors for API uniformity.
     pub fn spawn_streams(&self, master_seed: u64) -> crate::Result<Vec<PhasedUtility>> {
-        // One discretized sample table per distinct benchmark, shared by
-        // every stream in that cohort (discretization is O(bins) pdf
-        // evaluations — paying it per agent would dominate large-N setup).
-        let tables: Vec<(
-            Benchmark,
-            std::sync::Arc<sprint_stats::density::DiscreteDensity>,
-        )> = self
+        self.spawn_streams_jobs(master_seed, 1)
+    }
+
+    /// [`Population::spawn_streams`] with the arrival walks split over up
+    /// to `jobs` scoped threads. Agent `i` is seeded with the `(i+1)`-th
+    /// seed of `master_seed`'s [`SeedSequence`] wherever it is walked, so
+    /// the streams are bit-identical at every job count.
+    ///
+    /// Every agent of one benchmark shares one cohort (distribution,
+    /// sample table, persistence), so a stream holds no heap memory of
+    /// its own; the streams are built in place in one vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`Population::spawn_streams`].
+    pub fn spawn_streams_jobs(
+        &self,
+        master_seed: u64,
+        jobs: usize,
+    ) -> crate::Result<Vec<PhasedUtility>> {
+        let cohorts: Vec<(Benchmark, Arc<Cohort>)> = self
             .distinct_types()
             .into_iter()
             .map(|b| {
-                b.utility_density(crate::phases::PHASE_SAMPLE_BINS)
-                    .map(|d| (b, std::sync::Arc::new(d)))
+                Cohort::new(b.speedup_distribution(), DEFAULT_PERSISTENCE_EPOCHS)
+                    .map(|c| (b, Arc::new(c)))
             })
             .collect::<crate::Result<_>>()?;
-        let mut seq = SeedSequence::new(master_seed);
-        self.assignments
+        let mut streams: Vec<PhasedUtility> = self
+            .assignments
             .iter()
             .map(|&b| {
-                let seed = seq.next_seed();
-                let table = tables
+                let (_, cohort) = cohorts
                     .iter()
                     .find(|(t, _)| *t == b)
-                    .map(|(_, table)| table.clone())
                     .expect("every assignment is a distinct type");
-                let mut stream = PhasedUtility::with_shared_table(
-                    b.speedup_distribution(),
-                    table,
-                    crate::phases::DEFAULT_PERSISTENCE_EPOCHS,
-                    seed,
-                )?;
-                // Randomized arrival: advance by a seed-derived offset.
-                let offset = (seed >> 32) as usize % MAX_ARRIVAL_OFFSET_EPOCHS;
-                stream.skip(offset);
-                Ok(stream)
+                PhasedUtility::shell(Arc::clone(cohort))
             })
-            .collect()
+            .collect();
+
+        let seeds = SeedSequence::new(master_seed);
+        let spans = jobs.clamp(1, (streams.len() / MIN_SPAN_AGENTS).max(1));
+        let span = streams.len().div_ceil(spans).max(1);
+        std::thread::scope(|scope| {
+            let mut chunks = streams.chunks_mut(span).enumerate();
+            let first = chunks.next();
+            for (k, chunk) in chunks {
+                scope.spawn(move || arrive(chunk, seeds, k * span));
+            }
+            if let Some((_, chunk)) = first {
+                arrive(chunk, seeds, 0);
+            }
+        });
+        Ok(streams)
+    }
+}
+
+/// Run the arrival walk of the agents in `chunk`, the first of which is
+/// agent `start`: seed each from its index, draw its first phase, then
+/// advance it by a seed-derived offset.
+fn arrive(chunk: &mut [PhasedUtility], seeds: SeedSequence, start: usize) {
+    for (i, stream) in (start..).zip(chunk) {
+        let seed = seeds.seed_at(i as u64);
+        let offset = (seed >> 32) as usize % MAX_ARRIVAL_OFFSET_EPOCHS;
+        stream.arrive(seed, offset);
     }
 }
 

@@ -36,15 +36,54 @@ pub const PHASE_SAMPLE_BINS: usize = 1024;
 /// of 150 s epochs; 3 epochs reflects multi-epoch Spark stages.
 pub const DEFAULT_PERSISTENCE_EPOCHS: f64 = 3.0;
 
-/// A stream of per-epoch sprinting utilities with phase persistence.
+/// What every stream over one distribution shares: the distribution
+/// phases redraw from, its discretized sample table, and the mean phase
+/// persistence. Built once per application, not once per agent.
 #[derive(Debug)]
-pub struct PhasedUtility {
+pub(crate) struct Cohort {
     dist: Box<dyn ContinuousDistribution>,
-    /// The discretized stationary density `f(u)`, shared across a cohort
-    /// so the engine can resample phases with one inverse-cdf lookup.
+    /// The discretized stationary density `f(u)`, so the engine can
+    /// resample phases with one inverse-cdf lookup (and dedupe samplers
+    /// by this `Arc`).
     table: Arc<DiscreteDensity>,
     /// Mean number of epochs a phase persists (>= 1; 1 = iid).
     persistence_epochs: f64,
+}
+
+impl Cohort {
+    /// Discretize `dist` into the cohort's sample table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkloadError::InvalidParameter`] when
+    /// `persistence_epochs < 1`.
+    pub(crate) fn new(
+        dist: Box<dyn ContinuousDistribution>,
+        persistence_epochs: f64,
+    ) -> crate::Result<Self> {
+        let table = Arc::new(DiscreteDensity::from_distribution(
+            dist.as_ref(),
+            PHASE_SAMPLE_BINS,
+        )?);
+        if persistence_epochs < 1.0 || !persistence_epochs.is_finite() {
+            return Err(WorkloadError::InvalidParameter {
+                name: "persistence_epochs",
+                value: persistence_epochs,
+                expected: "a finite persistence of at least 1 epoch",
+            });
+        }
+        Ok(Cohort {
+            dist,
+            table,
+            persistence_epochs,
+        })
+    }
+}
+
+/// A stream of per-epoch sprinting utilities with phase persistence.
+#[derive(Debug)]
+pub struct PhasedUtility {
+    cohort: Arc<Cohort>,
     current: f64,
     seed: u64,
     rng: StdRng,
@@ -54,10 +93,9 @@ impl PhasedUtility {
     /// Create a stream drawing phases from `dist`, each persisting for a
     /// geometric number of epochs with the given mean.
     ///
-    /// Discretizes `dist` into a private sample table; spawn cohorts
-    /// through [`PhasedUtility::with_shared_table`] (as
-    /// [`crate::generator::Population::spawn_streams`] does) to pay that
-    /// cost once per distribution instead of once per agent.
+    /// Discretizes `dist` into a private sample table; populations built
+    /// through [`crate::generator::Population::spawn_streams`] pay that
+    /// cost once per application instead of once per agent.
     ///
     /// # Errors
     ///
@@ -68,43 +106,29 @@ impl PhasedUtility {
         persistence_epochs: f64,
         seed: u64,
     ) -> crate::Result<Self> {
-        let table = Arc::new(DiscreteDensity::from_distribution(
-            dist.as_ref(),
-            PHASE_SAMPLE_BINS,
-        )?);
-        PhasedUtility::with_shared_table(dist, table, persistence_epochs, seed)
+        let mut stream = PhasedUtility::shell(Arc::new(Cohort::new(dist, persistence_epochs)?));
+        stream.arrive(seed, 0);
+        Ok(stream)
     }
 
-    /// [`PhasedUtility::new`] with a pre-discretized sample table, so a
-    /// cohort of streams over one distribution shares one table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidParameter`] when
-    /// `persistence_epochs < 1`.
-    pub fn with_shared_table(
-        dist: Box<dyn ContinuousDistribution>,
-        table: Arc<DiscreteDensity>,
-        persistence_epochs: f64,
-        seed: u64,
-    ) -> crate::Result<Self> {
-        if persistence_epochs < 1.0 || !persistence_epochs.is_finite() {
-            return Err(WorkloadError::InvalidParameter {
-                name: "persistence_epochs",
-                value: persistence_epochs,
-                expected: "a finite persistence of at least 1 epoch",
-            });
+    /// A stream of `cohort` that has not arrived yet: it emits nothing
+    /// meaningful until [`PhasedUtility::arrive`] roots it at its seed.
+    pub(crate) fn shell(cohort: Arc<Cohort>) -> Self {
+        PhasedUtility {
+            cohort,
+            current: 0.0,
+            seed: 0,
+            rng: seeded_rng(0),
         }
-        let mut rng = seeded_rng(seed);
-        let current = dist.sample(&mut rng);
-        Ok(PhasedUtility {
-            dist,
-            table,
-            persistence_epochs,
-            current,
-            seed,
-            rng,
-        })
+    }
+
+    /// Root the stream at `seed` (draw its first phase), then advance it
+    /// `offset` epochs unobserved — the randomized arrival.
+    pub(crate) fn arrive(&mut self, seed: u64, offset: usize) {
+        self.seed = seed;
+        self.rng = seeded_rng(seed);
+        self.current = self.cohort.dist.sample(&mut self.rng);
+        self.skip(offset);
     }
 
     /// Create a stream for a benchmark with its default persistence
@@ -125,15 +149,15 @@ impl PhasedUtility {
     /// Mean phase persistence in epochs.
     #[must_use]
     pub fn persistence_epochs(&self) -> f64 {
-        self.persistence_epochs
+        self.cohort.persistence_epochs
     }
 
     /// Utility of the current epoch, then advance the phase process.
     pub fn next_utility(&mut self) -> f64 {
         let out = self.current;
-        let p_new = 1.0 / self.persistence_epochs;
+        let p_new = 1.0 / self.cohort.persistence_epochs;
         if self.rng.gen::<f64>() < p_new {
-            self.current = self.dist.sample(&mut self.rng);
+            self.current = self.cohort.dist.sample(&mut self.rng);
         }
         out
     }
@@ -163,13 +187,13 @@ impl PhasedUtility {
     /// Per-epoch probability that the phase resamples (`1 / persistence`).
     #[must_use]
     pub fn resample_probability(&self) -> f64 {
-        1.0 / self.persistence_epochs
+        1.0 / self.cohort.persistence_epochs
     }
 
     /// The shared discretized density phases resample from.
     #[must_use]
     pub fn sample_table(&self) -> &Arc<DiscreteDensity> {
-        &self.table
+        &self.cohort.table
     }
 
     /// The seed this stream was created with — the root of its
