@@ -2735,7 +2735,7 @@ mod tests {
             true
         }
         fn static_decider(&self) -> Option<StaticDecider> {
-            Some(StaticDecider::PerAgent(vec![0.0; 8]))
+            Some(StaticDecider::PerAgent(vec![0.0; 8].into()))
         }
     }
 

@@ -5,6 +5,8 @@
 //! against an assigned threshold — and differ only in how the thresholds
 //! were computed offline (Algorithm 1 versus exhaustive search).
 
+use std::sync::Arc;
+
 use sprint_game::ThresholdStrategy;
 
 use crate::policy::{SprintPolicy, StaticDecider};
@@ -14,7 +16,9 @@ use crate::SimError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdPolicy {
     name: &'static str,
-    thresholds: Vec<f64>,
+    /// Never mutated after [`ThresholdPolicy::new`]; shared with every
+    /// [`StaticDecider`] snapshot.
+    thresholds: Arc<[f64]>,
 }
 
 impl ThresholdPolicy {
@@ -39,7 +43,10 @@ impl ThresholdPolicy {
                 expected: "non-negative finite thresholds",
             });
         }
-        Ok(ThresholdPolicy { name, thresholds })
+        Ok(ThresholdPolicy {
+            name,
+            thresholds: thresholds.into(),
+        })
     }
 
     /// Create a policy where every agent shares one strategy.
@@ -79,7 +86,7 @@ impl SprintPolicy for ThresholdPolicy {
     }
 
     fn static_decider(&self) -> Option<StaticDecider> {
-        Some(StaticDecider::PerAgent(self.thresholds.clone()))
+        Some(StaticDecider::PerAgent(Arc::clone(&self.thresholds)))
     }
 
     fn export_metrics(&self, registry: &mut sprint_telemetry::Registry) {

@@ -5,6 +5,8 @@
 //! tripped) to adapt. The paper's four policies (§6) implement this trait
 //! in [`crate::policies`].
 
+use std::sync::Arc;
+
 /// Identifier for the paper's evaluated policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum PolicyKind {
@@ -63,8 +65,9 @@ impl std::fmt::Display for PolicyKind {
 pub enum StaticDecider {
     /// Sprint at every opportunity (Greedy).
     AlwaysSprint,
-    /// Sprint iff `utility > thresholds[agent]` (E-T / C-T).
-    PerAgent(Vec<f64>),
+    /// Sprint iff `utility > thresholds[agent]` (E-T / C-T). Shared with
+    /// the policy, so taking a snapshot copies no threshold.
+    PerAgent(Arc<[f64]>),
 }
 
 impl StaticDecider {
@@ -136,7 +139,7 @@ mod tests {
     #[test]
     fn static_decider_rules() {
         assert!(StaticDecider::AlwaysSprint.wants_sprint(3, 0.0));
-        let per = StaticDecider::PerAgent(vec![2.0, 5.0]);
+        let per = StaticDecider::PerAgent(vec![2.0, 5.0].into());
         assert!(per.wants_sprint(0, 3.0));
         assert!(!per.wants_sprint(1, 3.0));
     }
