@@ -207,15 +207,24 @@ impl Scenario {
             .map_err(Into::into)
     }
 
-    fn type_specs(&self) -> crate::Result<Vec<AgentTypeSpec>> {
-        self.population
-            .distinct_types()
+    /// The multi-type solver's view of the population for `game`: each
+    /// type's density and its count, apportioned to `game`'s `N` so the
+    /// counts sum to the `N` the solver checks them against (a stale
+    /// coordinator solves for a scaled `N`; see [`Scenario::solve_game`]).
+    fn type_specs(&self, game: &GameConfig) -> crate::Result<Vec<AgentTypeSpec>> {
+        let types = self.population.distinct_types();
+        let counts: Vec<u32> = types
+            .iter()
+            .map(|&b| self.population.count_of(b) as u32)
+            .collect();
+        types
             .into_iter()
-            .map(|b| {
+            .zip(apportion(&counts, game.n_agents()))
+            .map(|(b, count)| {
                 Ok(AgentTypeSpec::new(
                     b.name(),
                     b.utility_density(DENSITY_BINS)?,
-                    self.population.count_of(b) as u32,
+                    count,
                 ))
             })
             .collect()
@@ -257,7 +266,7 @@ impl Scenario {
             };
             vec![threshold; self.population.len()]
         } else {
-            let eq = MultiSolver::new(game).solve(&self.type_specs()?)?;
+            let eq = MultiSolver::new(game).solve(&self.type_specs(&game)?)?;
             telemetry.emit(&Event::CoordinatorResolve {
                 types: eq.types().len(),
                 converged: true,
@@ -355,7 +364,7 @@ impl Scenario {
             };
             (vec![threshold; self.population.len()], summary)
         } else {
-            let eq = MultiSolver::new(game).solve(&self.type_specs()?)?;
+            let eq = MultiSolver::new(game).solve(&self.type_specs(&game)?)?;
             let summary = SolveSummary {
                 converged: true,
                 iterations: eq.iterations(),
@@ -503,6 +512,30 @@ impl Scenario {
         }
         engine::run_jobs(&config, &mut streams, policy.as_mut(), jobs, telemetry)
     }
+}
+
+/// Split `total` in proportion to `weights` by largest remainder
+/// (Hamilton's method): floor every exact quota, then give the units
+/// left over to the largest fractional remainders, earlier parts first
+/// on ties. Returns `weights` unchanged when `total` is their sum.
+fn apportion(weights: &[u32], total: u32) -> Vec<u32> {
+    let sum: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+    let quotas: Vec<(u64, u64)> = weights
+        .iter()
+        .map(|&w| {
+            // Two u32 factors: the product cannot overflow.
+            let exact = u64::from(w) * u64::from(total);
+            (exact / sum, exact % sum)
+        })
+        .collect();
+    let mut shares: Vec<u32> = quotas.iter().map(|&(whole, _)| whole as u32).collect();
+    let left = total - shares.iter().sum::<u32>();
+    let mut by_remainder: Vec<usize> = (0..weights.len()).collect();
+    by_remainder.sort_by_key(|&i| std::cmp::Reverse(quotas[i].1));
+    for &i in by_remainder.iter().take(left as usize) {
+        shares[i] += 1;
+    }
+    shares
 }
 
 /// Convergence facts about one offline solve, for per-cell sweep
@@ -684,5 +717,20 @@ mod tests {
         assert!(summary.converged);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
+    }
+
+    #[test]
+    fn apportion_by_largest_remainder() {
+        // Unscaled counts come back unchanged.
+        assert_eq!(apportion(&[67, 67, 66], 200), vec![67, 67, 66]);
+        // 220 × (67, 67, 66) / 200 = (73.7, 73.7, 72.6): the two .7
+        // remainders win the leftover units, the earlier part on ties.
+        assert_eq!(apportion(&[67, 67, 66], 220), vec![74, 74, 72]);
+        assert_eq!(apportion(&[1, 1, 1], 2), vec![1, 1, 0]);
+        assert_eq!(apportion(&[3, 1], 1), vec![1, 0]);
+        for total in [1, 7, 180, 300, 1_000_003] {
+            let shares = apportion(&[67, 67, 66], total);
+            assert_eq!(shares.iter().sum::<u32>(), total);
+        }
     }
 }

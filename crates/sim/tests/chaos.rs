@@ -6,6 +6,7 @@
 //! even when agents crash, sprinters stick, sensors lie, the breaker
 //! drifts, and the coordinator solves for a stale population.
 
+use sprint_game::EquilibriumCache;
 use sprint_sim::faults::{BreakerDrift, CoordinatorStaleness, CrashChurn, SensorFault};
 use sprint_sim::policy::PolicyKind;
 use sprint_sim::scenario::Scenario;
@@ -195,4 +196,38 @@ fn stale_coordinator_shifts_the_equilibrium() {
     );
     // Degradation is graceful: the stale equilibrium still makes progress.
     assert!(stale_run.tasks_per_agent_epoch() > 0.0);
+}
+
+#[test]
+fn stale_coordinator_solves_heterogeneous_populations() {
+    // The multi-type solver checks type counts against the N it solves
+    // for, and a stale coordinator solves for a scaled N: the counts must
+    // be scaled with it, on the uncached and the cached E-T path alike.
+    let base = Scenario::heterogeneous(
+        &[Benchmark::Svm, Benchmark::PageRank, Benchmark::Kmeans],
+        200,
+        300,
+    )
+    .unwrap();
+    for factor in [0.9, 1.1, 1.5] {
+        let stale = base.clone().with_faults(FaultPlan {
+            seed: 1,
+            staleness: Some(CoordinatorStaleness {
+                population_factor: factor,
+            }),
+            ..FaultPlan::none()
+        });
+        let policy = stale
+            .equilibrium_thresholds(&mut Telemetry::noop())
+            .unwrap_or_else(|e| panic!("factor {factor}: {e}"));
+        let (cached, summary) = stale
+            .equilibrium_policy_cached_cold(&EquilibriumCache::default())
+            .unwrap_or_else(|e| panic!("factor {factor}: {e}"));
+        assert_eq!(policy.thresholds(), cached.thresholds());
+        assert!(summary.converged, "factor {factor}");
+        let run = stale
+            .execute(PolicyKind::EquilibriumThreshold, 9, &mut Telemetry::noop())
+            .unwrap();
+        assert!(run.tasks_per_agent_epoch() > 0.0, "factor {factor}");
+    }
 }
