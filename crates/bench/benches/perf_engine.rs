@@ -19,6 +19,9 @@
 //! - the epoch loop allocates nothing, serial *and* with the pool live: a
 //!   counting global allocator sees the same allocation count for a 2×
 //!   longer horizon;
+//! - population builds (`Population::spawn_streams_jobs`) are timed at
+//!   N ∈ {10⁵, 10⁶} for jobs ∈ {1, 2}, and building 2× the agents must
+//!   not allocate more often: the count follows cohorts and threads;
 //! - warm-started Algorithm 1 (`EquilibriumCache::solve_warm`) cuts mean
 //!   iterations per cell ≥ `MIN_WARM_RATIO`× across a parameter ladder;
 //! - on a multi-core host, the parallel speedup must not regress below
@@ -31,8 +34,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use sprint_game::trip::TripCurve;
 use sprint_game::{AgentState, EquilibriumCache, GameConfig, MeanFieldSolver, ThresholdStrategy};
@@ -40,9 +45,11 @@ use sprint_sim::engine::{run_jobs, SimConfig, DEFAULT_CHUNK};
 use sprint_sim::policies::ThresholdPolicy;
 use sprint_sim::policy::SprintPolicy;
 use sprint_sim::telemetry::Telemetry;
-use sprint_stats::rng::seeded_rng;
+use sprint_stats::density::DiscreteDensity;
+use sprint_stats::dist::ContinuousDistribution;
+use sprint_stats::rng::{seeded_rng, SeedSequence};
 use sprint_workloads::generator::Population;
-use sprint_workloads::phases::PhasedUtility;
+use sprint_workloads::phases::{PhasedUtility, DEFAULT_PERSISTENCE_EPOCHS, PHASE_SAMPLE_BINS};
 use sprint_workloads::Benchmark;
 
 /// Count allocations so the no-alloc contract is checkable from outside
@@ -91,6 +98,11 @@ const PARALLEL_JOBS: usize = 4;
 /// point); the scaling table extends beyond it.
 const GATE_AGENTS: usize = 100_000;
 const SEED: u64 = 7;
+/// Job counts of the population-build rows.
+const SPAWN_JOBS: [usize; 2] = [1, 2];
+/// Population size of the spawn allocation check: at least two 2¹⁴-agent
+/// spans, so N and 2N run the arrival walk on the same number of threads.
+const SPAWN_ALLOC_AGENTS: usize = 40_000;
 
 fn game_for(n: usize) -> GameConfig {
     GameConfig::builder()
@@ -112,13 +124,69 @@ fn policy_for(n: usize) -> ThresholdPolicy {
     ThresholdPolicy::uniform("E-T", ThresholdStrategy::new(5.0).unwrap(), n).unwrap()
 }
 
+/// One agent's utility stream laid out as the pre-SoA engine walked it:
+/// 80 bytes that box the agent's own speedup distribution (about 220 B
+/// more on the heap), resampled through a sequential generator. Library
+/// streams now share one distribution per cohort in 56 bytes, which by
+/// itself makes the reference loop about twice as fast at N=10⁵, so the
+/// reference keeps the layout the kernel replaced.
+struct LegacyStream {
+    dist: Box<dyn ContinuousDistribution>,
+    _table: Arc<DiscreteDensity>,
+    persistence_epochs: f64,
+    current: f64,
+    _seed: u64,
+    rng: StdRng,
+}
+
+impl LegacyStream {
+    fn next_utility(&mut self) -> f64 {
+        let out = self.current;
+        if self.rng.gen::<f64>() < 1.0 / self.persistence_epochs {
+            self.current = self.dist.sample(&mut self.rng);
+        }
+        out
+    }
+}
+
+/// The reference loop's population: the agents, seeds and arrival walks
+/// of [`spawn`], one boxed distribution per agent.
+fn legacy_spawn(n: usize) -> Vec<LegacyStream> {
+    let table = Arc::new(
+        Benchmark::DecisionTree
+            .utility_density(PHASE_SAMPLE_BINS)
+            .unwrap(),
+    );
+    let mut seeds = SeedSequence::new(SEED);
+    (0..n)
+        .map(|_| {
+            let seed = seeds.next_seed();
+            let dist = Benchmark::DecisionTree.speedup_distribution();
+            let mut rng = seeded_rng(seed);
+            let current = dist.sample(&mut rng);
+            let mut stream = LegacyStream {
+                dist,
+                _table: Arc::clone(&table),
+                persistence_epochs: DEFAULT_PERSISTENCE_EPOCHS,
+                current,
+                _seed: seed,
+                rng,
+            };
+            for _ in 0..(seed >> 32) % 64 {
+                stream.next_utility();
+            }
+            stream
+        })
+        .collect()
+}
+
 /// The pre-SoA engine's epoch loop, reproduced pass-for-pass from the
 /// shipped version (commit history: "Resilient coordinator control
 /// plane"): a fresh `Vec<f64>` of stream utilities per epoch, then three
 /// separate full-population passes — decide, throughput/occupancy, state
 /// transitions — each re-checking the fault overlays, with sequential
 /// `StdRng` draws for cooling exits and recovery wake-up stagger.
-fn reference_run(game: &GameConfig, streams: &mut [PhasedUtility], epochs: usize) -> f64 {
+fn reference_run(game: &GameConfig, streams: &mut [LegacyStream], epochs: usize) -> f64 {
     let n = streams.len();
     let curve = TripCurve::from_config(game);
     let p_cool_exit = 1.0 - game.p_cooling();
@@ -137,10 +205,7 @@ fn reference_run(game: &GameConfig, streams: &mut [PhasedUtility], epochs: usize
     let mut occ_idle = 0u64;
     for epoch in 0..epochs {
         // Phases advance in wall-clock time regardless of power state.
-        let utilities: Vec<f64> = streams
-            .iter_mut()
-            .map(PhasedUtility::next_utility)
-            .collect();
+        let utilities: Vec<f64> = streams.iter_mut().map(LegacyStream::next_utility).collect();
         if recovering {
             if rng.gen::<f64>() < p_recover_exit {
                 recovering = false;
@@ -275,7 +340,7 @@ fn engine_rate(n: usize, epochs: usize, jobs: usize, chunk: usize) -> (f64, Fing
 
 fn reference_rate(n: usize, epochs: usize) -> f64 {
     let game = game_for(n);
-    let mut streams = spawn(n);
+    let mut streams = legacy_spawn(n);
     let started = Instant::now();
     let tasks = reference_run(&game, &mut streams, epochs);
     let secs = started.elapsed().as_secs_f64();
@@ -301,6 +366,27 @@ fn allocs_for(n: usize, epochs: usize, jobs: usize) -> u64 {
     )
     .unwrap();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Agents per second of one population build at a job count (freeing
+/// the streams is not timed).
+fn spawn_rate(n: usize, jobs: usize) -> f64 {
+    let population = Population::homogeneous(Benchmark::DecisionTree, n).unwrap();
+    let started = Instant::now();
+    let streams = population.spawn_streams_jobs(SEED, jobs).unwrap();
+    let secs = started.elapsed().as_secs_f64();
+    assert_eq!(std::hint::black_box(streams).len(), n);
+    n as f64 / secs
+}
+
+/// Allocation count of one population build at a job count.
+fn spawn_allocs(n: usize, jobs: usize) -> u64 {
+    let population = Population::homogeneous(Benchmark::DecisionTree, n).unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let streams = population.spawn_streams_jobs(SEED, jobs).unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(streams.len(), n);
+    allocs
 }
 
 /// Mean Algorithm-1 iterations per cell over a breaker-band ladder,
@@ -472,6 +558,46 @@ fn main() {
         alloc_epochs * 2
     );
 
+    // Population build: agents/sec per job count, legs interleaved
+    // across reps like the engine rows; then the allocation contract at
+    // a size where both N and 2N split into the same number of spans.
+    let mut spawn_rows = String::new();
+    for &n in &[100_000usize, 1_000_000] {
+        let mut rates = [0.0f64; SPAWN_JOBS.len()];
+        for _ in 0..reps {
+            for (rate, &jobs) in rates.iter_mut().zip(&SPAWN_JOBS) {
+                *rate = rate.max(spawn_rate(n, jobs));
+            }
+        }
+        for (rate, jobs) in rates.iter().zip(SPAWN_JOBS) {
+            println!("  spawn     N={n} jobs={jobs}: {:.2}M agents/s", rate / 1e6);
+            if !spawn_rows.is_empty() {
+                spawn_rows.push_str(",\n");
+            }
+            spawn_rows.push_str(&format!(
+                "    {{\"agents\": {n}, \"jobs\": {jobs}, \"spawn_agents_per_sec\": {rate:.0}}}"
+            ));
+        }
+    }
+    let mut spawn_alloc_rows = String::new();
+    let mut spawn_allocs_flat = true;
+    for jobs in SPAWN_JOBS {
+        let single = spawn_allocs(SPAWN_ALLOC_AGENTS, jobs);
+        let double = spawn_allocs(2 * SPAWN_ALLOC_AGENTS, jobs);
+        println!(
+            "  spawn     allocs at jobs={jobs}: {single} for N={SPAWN_ALLOC_AGENTS}, \
+             {double} for N={}",
+            2 * SPAWN_ALLOC_AGENTS
+        );
+        spawn_allocs_flat &= single == double;
+        if !spawn_alloc_rows.is_empty() {
+            spawn_alloc_rows.push_str(",\n");
+        }
+        spawn_alloc_rows.push_str(&format!(
+            "    {{\"jobs\": {jobs}, \"allocs_n\": {single}, \"allocs_2n\": {double}}}"
+        ));
+    }
+
     let warm_cells = if quick { 6 } else { 12 };
     let (cold_iters, warm_iters) = warm_start_ratio(warm_cells);
     let warm_ratio = cold_iters / warm_iters.max(1e-9);
@@ -492,6 +618,9 @@ fn main() {
          \"gate_agents\": {GATE_AGENTS},\n  \
          \"rows\": [\n{rows}\n  ],\n  \
          \"chunk_sweep\": [\n{chunk_rows}\n  ],\n  \
+         \"spawn\": [\n{spawn_rows}\n  ],\n  \
+         \"spawn_alloc_agents\": {SPAWN_ALLOC_AGENTS},\n  \
+         \"spawn_allocs\": [\n{spawn_alloc_rows}\n  ],\n  \
          \"byte_identical_across_jobs\": true,\n  \
          \"serial_speedup\": {serial_speedup:.4},\n  \
          \"min_serial_speedup\": {MIN_SERIAL_SPEEDUP},\n  \
@@ -525,6 +654,14 @@ fn main() {
             "FAIL: pooled epoch loop allocated ({pool_short} allocs at {alloc_epochs} \
              epochs, {pool_long} at {} epochs)",
             alloc_epochs * 2
+        );
+        failed = true;
+    }
+    if !spawn_allocs_flat {
+        eprintln!(
+            "FAIL: building {} agents allocated more often than building \
+             {SPAWN_ALLOC_AGENTS}",
+            2 * SPAWN_ALLOC_AGENTS
         );
         failed = true;
     }
@@ -567,10 +704,10 @@ fn main() {
         std::process::exit(1);
     }
     if enforce_parallel {
-        println!("PASS: no-alloc, serial, parallel, and warm-start budgets all met");
+        println!("PASS: no-alloc, spawn-alloc, serial, parallel, and warm-start budgets all met");
     } else {
         println!(
-            "PASS: no-alloc, serial, and warm-start budgets met \
+            "PASS: no-alloc, spawn-alloc, serial, and warm-start budgets met \
              (parallel not enforced on {cores} core(s))"
         );
     }

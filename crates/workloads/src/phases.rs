@@ -26,8 +26,8 @@ use sprint_stats::rng::seeded_rng;
 use crate::benchmark::Benchmark;
 use crate::WorkloadError;
 
-/// Grid resolution of the discretized sample table every stream carries
-/// for the simulator's O(1) phase-resample kernel. At 1024 bins the
+/// Grid resolution of the discretized sample table a cohort of streams
+/// shares for the simulator's O(1) phase-resample kernel. At 1024 bins the
 /// quantization error of a resampled phase value is below 0.1% of the
 /// support width — far inside every statistical tolerance in the suite.
 pub const PHASE_SAMPLE_BINS: usize = 1024;
