@@ -55,6 +55,14 @@ pub trait ContinuousDistribution: std::fmt::Debug + Send + Sync {
     /// Draw one sample.
     fn sample(&self, rng: &mut dyn rand::RngCore) -> f64;
 
+    /// Consume exactly the draws [`ContinuousDistribution::sample`] would,
+    /// without (necessarily) computing the sample: a generator advanced
+    /// by either is in the same state. Callers that discard most samples
+    /// (the arrival walk of a phase stream) skip them with this.
+    fn skip_sample(&self, rng: &mut dyn rand::RngCore) {
+        let _ = self.sample(rng);
+    }
+
     /// Support of the distribution as `(lo, hi)`.
     ///
     /// Values outside the support have zero density. Distributions with
@@ -144,6 +152,32 @@ pub struct TruncatedNormal {
     hi: f64,
     /// Normalizing mass `Phi((hi-mu)/sigma) - Phi((lo-mu)/sigma)`.
     z: f64,
+    /// Smallest Box–Muller `u1` whose radius keeps the cosine candidate
+    /// inside the band at every angle, so `sample` accepts the pair on
+    /// its first candidate and `skip_sample` need not evaluate it.
+    /// Infinite when no radius is safe (`mu` outside the band or within
+    /// the margin of a bound); see [`skip_floor`].
+    skip_floor: f64,
+}
+
+/// The `u1` floor of [`TruncatedNormal::skip_sample`]'s fast path: above
+/// it, the Box–Muller radius `sqrt(-2 ln u1)` is at most the distance
+/// from `mu` to the nearer bound, less a margin, in units of `sigma`.
+///
+/// The margin absorbs rounding. The affine map `mu + sigma * z` rounds
+/// by a few ulps of the band's magnitude, covered by its first term. The
+/// radius moves by at most about 2·10⁻⁸ (the 2⁻⁵³ grid of `u1` near 1,
+/// plus an ulp or two each from `exp`, `ln` and `sqrt`), covered by its
+/// second. Both are orders of magnitude wider than needed, yet cost the
+/// fast path a negligible share of pairs.
+fn skip_floor(mu: f64, sigma: f64, lo: f64, hi: f64) -> f64 {
+    let margin = 1e-9 * (mu.abs() + lo.abs() + hi.abs()) + 1e-6 * sigma;
+    let radius = ((mu - lo).min(hi - mu) - margin) / sigma;
+    if radius > 0.0 {
+        (-0.5 * radius * radius).exp()
+    } else {
+        f64::INFINITY
+    }
 }
 
 impl TruncatedNormal {
@@ -184,6 +218,7 @@ impl TruncatedNormal {
             lo,
             hi,
             z,
+            skip_floor: skip_floor(mu, sigma, lo, hi),
         })
     }
 
@@ -197,6 +232,19 @@ impl TruncatedNormal {
     #[must_use]
     pub fn sigma(&self) -> f64 {
         self.sigma
+    }
+
+    /// The sample of the Box–Muller pair `(u1, u2)`, if it lands in the
+    /// band: the cosine candidate first, then the sine candidate, which
+    /// is only computed when the cosine one is rejected.
+    fn accept(&self, u1: f64, u2: f64) -> Option<f64> {
+        let r = (-2.0 * u1.max(f64::MIN_POSITIVE).ln()).sqrt();
+        let theta = 2.0 * std::f64::consts::PI * u2;
+        let inside = |z: f64| {
+            let x = self.mu + self.sigma * z;
+            (x >= self.lo && x <= self.hi).then_some(x)
+        };
+        inside(r * theta.cos()).or_else(|| inside(r * theta.sin()))
     }
 }
 
@@ -227,13 +275,20 @@ impl ContinuousDistribution for TruncatedNormal {
         loop {
             let u1: f64 = rand::Rng::gen(&mut *rng);
             let u2: f64 = rand::Rng::gen(&mut *rng);
-            let r = (-2.0 * u1.max(f64::MIN_POSITIVE).ln()).sqrt();
-            let theta = 2.0 * std::f64::consts::PI * u2;
-            for z in [r * theta.cos(), r * theta.sin()] {
-                let x = self.mu + self.sigma * z;
-                if x >= self.lo && x <= self.hi {
-                    return x;
-                }
+            if let Some(x) = self.accept(u1, u2) {
+                return x;
+            }
+        }
+    }
+
+    fn skip_sample(&self, rng: &mut dyn rand::RngCore) {
+        // Same pairs, same acceptance; a pair above the floor is accepted
+        // without evaluating its `ln`, `sqrt` and `cos`.
+        loop {
+            let u1: f64 = rand::Rng::gen(&mut *rng);
+            let u2: f64 = rand::Rng::gen(&mut *rng);
+            if u1 >= self.skip_floor || self.accept(u1, u2).is_some() {
+                return;
             }
         }
     }
@@ -301,6 +356,11 @@ impl ContinuousDistribution for LogNormal {
         let z = (-2.0 * u1.max(f64::MIN_POSITIVE).ln()).sqrt()
             * (2.0 * std::f64::consts::PI * u2).cos();
         (self.mu + self.sigma * z).exp()
+    }
+
+    fn skip_sample(&self, rng: &mut dyn rand::RngCore) {
+        rng.next_u64();
+        rng.next_u64();
     }
 
     fn support(&self) -> (f64, f64) {
@@ -393,6 +453,17 @@ impl Mixture {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
+
+    /// Draw which component the next sample comes from.
+    fn pick(&self, rng: &mut dyn rand::RngCore) -> &dyn ContinuousDistribution {
+        let u: f64 = rand::Rng::gen(&mut *rng);
+        // The first component whose cumulative weight reaches `u`: the
+        // cumulative weights ascend, so that is the count of those below
+        // `u` (counted without a data-dependent branch; the last
+        // component absorbs rounding in the top weight).
+        let idx = self.cumulative.iter().filter(|&&c| c < u).count();
+        self.components[idx.min(self.components.len() - 1)].as_ref()
+    }
 }
 
 impl ContinuousDistribution for Mixture {
@@ -413,13 +484,11 @@ impl ContinuousDistribution for Mixture {
     }
 
     fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        let u: f64 = rand::Rng::gen(&mut *rng);
-        let idx = self
-            .cumulative
-            .iter()
-            .position(|&c| u <= c)
-            .unwrap_or(self.components.len() - 1);
-        self.components[idx].sample(rng)
+        self.pick(rng).sample(rng)
+    }
+
+    fn skip_sample(&self, rng: &mut dyn rand::RngCore) {
+        self.pick(rng).skip_sample(rng);
     }
 
     fn support(&self) -> (f64, f64) {
@@ -527,6 +596,44 @@ mod tests {
         assert_eq!(d.cdf(-2.0), 0.0);
         assert_eq!(d.cdf(2.0), 1.0);
         assert_close(d.cdf(0.0), 0.5, 1e-7);
+    }
+
+    #[test]
+    fn pairs_above_the_skip_floor_are_accepted() {
+        // `skip_sample` stops at any pair whose `u1` clears the floor, so
+        // `sample` must accept every such pair on its cosine candidate:
+        // probe the floor and the ulps above it at angles that include
+        // both extremes of the cosine (u2 = 0 and 1/2).
+        for (mu, sigma, lo, hi) in [
+            (4.0, 0.45, 3.0, 5.0),
+            (12.0, 1.5, 8.0, 16.0),
+            (2.4, 0.5, 1.2, 3.8),
+            (1e6, 3.0, 1e6 - 5.0, 1e6 + 2.0),
+        ] {
+            let d = TruncatedNormal::new(mu, sigma, lo, hi).unwrap();
+            assert!(d.skip_floor < 1.0, "a safe radius exists for {d:?}");
+            let mut u1 = d.skip_floor;
+            for _ in 0..16 {
+                for k in 0..=1024 {
+                    let u2 = f64::from(k) / 1024.0;
+                    let x = d.accept(u1, u2);
+                    assert!(x.is_some(), "{d:?} rejects ({u1}, {u2})");
+                }
+                u1 = f64::from_bits(u1.to_bits() + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn no_skip_floor_without_a_safe_radius() {
+        for (mu, sigma, lo, hi) in [
+            (0.0, 1.0, 0.5, 2.5),
+            (2.0, 0.5, 2.0, 4.0),
+            (1e6, 1e-4, 1e6 - 1e-3, 1e6 + 1e-3),
+        ] {
+            let d = TruncatedNormal::new(mu, sigma, lo, hi).unwrap();
+            assert_eq!(d.skip_floor, f64::INFINITY, "{d:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the numerical substrate.
 
 use proptest::prelude::*;
+use rand::RngCore;
 
 use sprint_stats::dist::{ContinuousDistribution, LogNormal, Mixture, TruncatedNormal, Uniform};
 use sprint_stats::histogram::Histogram;
@@ -175,5 +176,47 @@ proptest! {
         unique.sort_unstable();
         unique.dedup();
         prop_assert_eq!(unique.len(), seeds.len());
+    }
+}
+
+/// Start `sample` and `skip_sample` from the same generator state `draws`
+/// times over one stream: the next four words must agree every time, so
+/// skipping a sample consumes exactly the draws taking it would.
+fn assert_skip_consumes_sample_draws(name: &str, d: &dyn ContinuousDistribution, seed: u64) {
+    const DRAWS: usize = 1_000_000;
+    let mut rng = seeded_rng(seed);
+    for i in 0..DRAWS {
+        let mut sampled = rng.clone();
+        d.sample(&mut sampled);
+        d.skip_sample(&mut rng);
+        for _ in 0..4 {
+            assert_eq!(sampled.next_u64(), rng.next_u64(), "{name}: draw {i}");
+        }
+    }
+}
+
+#[test]
+fn skip_sample_consumes_the_draws_of_every_workload_profile() {
+    for (k, b) in sprint_workloads::Benchmark::ALL.into_iter().enumerate() {
+        let d = b.speedup_distribution();
+        assert_skip_consumes_sample_draws(b.name(), d.as_ref(), 0xD1CE + k as u64);
+    }
+}
+
+#[test]
+fn skip_sample_consumes_the_draws_of_edge_truncations() {
+    let cases = [
+        // The mean lies outside the band: no radius is safe.
+        ("mu outside", TruncatedNormal::new(0.0, 1.0, 0.5, 2.5)),
+        // A band narrower than the margin that absorbs rounding.
+        (
+            "narrow band",
+            TruncatedNormal::new(1e6, 1e-4, 1e6 - 1e-3, 1e6 + 1e-3),
+        ),
+        // One bound at the mean: only the exact test is safe.
+        ("bound at mu", TruncatedNormal::new(2.0, 0.5, 2.0, 4.0)),
+    ];
+    for (k, (name, d)) in cases.into_iter().enumerate() {
+        assert_skip_consumes_sample_draws(name, &d.expect("valid truncation"), 0xED6E + k as u64);
     }
 }

@@ -81,7 +81,10 @@ impl Cohort {
 }
 
 /// A stream of per-epoch sprinting utilities with phase persistence.
-#[derive(Debug)]
+///
+/// Cloning is cheap (the cohort is shared) and yields a stream that
+/// emits exactly what the original would from here on.
+#[derive(Debug, Clone)]
 pub struct PhasedUtility {
     cohort: Arc<Cohort>,
     current: f64,
@@ -127,8 +130,9 @@ impl PhasedUtility {
     pub(crate) fn arrive(&mut self, seed: u64, offset: usize) {
         self.seed = seed;
         self.rng = seeded_rng(seed);
-        self.current = self.cohort.dist.sample(&mut self.rng);
-        self.skip(offset);
+        let first = self.rng.clone();
+        self.cohort.dist.skip_sample(&mut self.rng);
+        self.walk(offset, Some(first));
     }
 
     /// Create a stream for a benchmark with its default persistence
@@ -165,8 +169,26 @@ impl PhasedUtility {
     /// Advance the stream by `epochs` draws without observing them
     /// (used to randomize agent arrival offsets).
     pub fn skip(&mut self, epochs: usize) {
+        self.walk(epochs, None);
+    }
+
+    /// Advance `epochs` epochs unobserved, where `pending` is the
+    /// generator state before a resample that was skipped but not yet
+    /// evaluated. Only the walk's last resample survives, so each one
+    /// saves the generator state and is skipped
+    /// ([`ContinuousDistribution::skip_sample`] consumes the same draws),
+    /// and only the last is evaluated, from its saved state: the phase
+    /// and the generator end bit-identical to sampling every one.
+    fn walk(&mut self, epochs: usize, mut pending: Option<StdRng>) {
+        let p_new = self.resample_probability();
         for _ in 0..epochs {
-            let _ = self.next_utility();
+            if self.rng.gen::<f64>() < p_new {
+                pending = Some(self.rng.clone());
+                self.cohort.dist.skip_sample(&mut self.rng);
+            }
+        }
+        if let Some(mut at) = pending {
+            self.current = self.cohort.dist.sample(&mut at);
         }
     }
 

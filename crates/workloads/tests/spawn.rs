@@ -108,3 +108,51 @@ fn cohorts_share_one_sample_table() {
     ));
     assert!(std::mem::size_of::<PhasedUtility>() <= 56);
 }
+
+/// FNV-1a over every agent's seed, next phase and next 8 draws.
+fn digest(streams: &mut [PhasedUtility]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |w: u64| {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    for s in streams.iter_mut() {
+        eat(s.stream_seed());
+        eat(s.phase_value().to_bits());
+        for _ in 0..8 {
+            eat(s.next_utility().to_bits());
+        }
+    }
+    h
+}
+
+#[test]
+fn arrival_walk_consumes_recorded_draws() {
+    // Digests recorded from the arrival walk that evaluated every
+    // resample it drew. The walk may skip evaluating a resample but must
+    // consume its draws: any change to how it walks the generator moves
+    // a later phase or draw and changes the digest. The mixed population
+    // covers a plain truncated normal, a two-normal mixture and a
+    // normal/log-normal mixture.
+    let homogeneous = Population::homogeneous(Benchmark::Svm, 20_000).unwrap();
+    let mixed = Population::heterogeneous(
+        &[
+            Benchmark::LinearRegression,
+            Benchmark::PageRank,
+            Benchmark::TriangleCounting,
+        ],
+        20_000,
+    )
+    .unwrap();
+    for (population, master, recorded) in [
+        (&homogeneous, 7, 0x3678_DA64_D6CC_83C7u64),
+        (&mixed, 0x5EED_F00D, 0xAFFD_EE3F_3957_E411),
+    ] {
+        for jobs in [1, 2] {
+            let streams = &mut population.spawn_streams_jobs(master, jobs).unwrap();
+            assert_eq!(digest(streams), recorded, "jobs {jobs}");
+        }
+    }
+}
