@@ -21,6 +21,11 @@
 //!   simulation-side knobs (seeds, faults, policies) pay for Algorithm 1
 //!   once per distinct game, and cached results are bit-identical to
 //!   fresh solves.
+//! - **Population reuse.** A trial's utility streams depend only on its
+//!   population and seed. Workers take trials grouped by that pair, and
+//!   each keeps the streams of its last pair as built, so every trial
+//!   and retry runs on a clone instead of a fresh build: a pair is built
+//!   at most once per worker.
 //!
 //! Trials use only the unified telemetry-carrying API ([`engine::run`],
 //! [`Scenario::policy`], [`Scenario::equilibrium_policy_cached`]).
@@ -43,6 +48,7 @@ use sprint_game::{EquilibriumCache, GameConfig};
 use sprint_stats::summary::{confidence_interval_95, ConfidenceInterval, OnlineStats};
 use sprint_telemetry::{Event, EventRing, Recorder, RingConfig, Telemetry, WorkerHealth};
 use sprint_workloads::generator::Population;
+use sprint_workloads::phases::PhasedUtility;
 use sprint_workloads::Benchmark;
 
 use crate::engine::{self, RunOptions, SimConfig};
@@ -701,7 +707,8 @@ fn thread_budget(jobs: usize, trials: usize) -> (usize, usize) {
 /// serialization — for every job count. E-T solves are memoized in a
 /// sweep-wide [`EquilibriumCache`] whose hit/miss/eviction counters land
 /// in the kit's registry (`cache.equilibrium.*`), alongside
-/// `sweep.trials` and `sweep.jobs`; per-trial wall-clock durations
+/// `sweep.trials` and `sweep.jobs` (and, when the kit is enabled,
+/// `sweep.population_builds`); per-trial wall-clock durations
 /// accumulate in the kit's span profile under `sweep.trial`.
 ///
 /// # Errors
@@ -798,6 +805,12 @@ fn run_sweep_on_cache(
 
     type Slot = OnceLock<(crate::Result<SweepRecord>, u64, u32)>;
     let slots: Vec<Slot> = (0..trials.len()).map(|_| OnceLock::new()).collect();
+    // Workers take trials grouped by (population, seed), in trial order
+    // within a group (the sort is stable), so a worker builds each
+    // group's population once and runs the rest of the group on clones.
+    // Records still land in their trial's slot.
+    let mut order: Vec<&Trial> = trials.iter().collect();
+    order.sort_by_key(|t| (t.population, t.seed));
     let next = AtomicUsize::new(0);
     let profile = telemetry.enabled();
 
@@ -817,11 +830,12 @@ fn run_sweep_on_cache(
     }
 
     let mut worker_stats: Vec<(usize, u64, u64)> = Vec::with_capacity(jobs);
+    let mut population_builds = 0u64;
     let pool_started = std::time::Instant::now();
     let panicked = std::thread::scope(|scope| {
         let slots = &slots;
         let next = &next;
-        let trials = &trials;
+        let order = &order;
         let plans = &plans;
         let adversaries = &adversaries;
         let supervision = &supervision;
@@ -832,9 +846,10 @@ fn run_sweep_on_cache(
                 scope.spawn(move || {
                     let mut done = 0u64;
                     let mut busy = 0u64;
+                    let mut built = BuiltPopulation::default();
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(trial) = trials.get(i) else { break };
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&trial) = order.get(k) else { break };
                         if let Some(p) = producer.as_mut() {
                             p.record(&Event::TrialStarted {
                                 trial: trial.id,
@@ -851,6 +866,7 @@ fn run_sweep_on_cache(
                             warm,
                             supervision,
                             intra_jobs,
+                            &mut built,
                         );
                         let nanos = started.elapsed().as_nanos() as u64;
                         done += 1;
@@ -864,17 +880,20 @@ fn run_sweep_on_cache(
                             });
                         }
                         // First write wins; a slot is only ever written
-                        // once because indices are unique.
-                        let _ = slots[i].set((record, nanos, attempts));
+                        // once because trial ids are unique.
+                        let _ = slots[trial.id].set((record, nanos, attempts));
                     }
-                    (done, busy)
+                    (done, busy, built.builds)
                 })
             })
             .collect();
         let mut any_panicked = false;
         for handle in handles {
             match handle.join() {
-                Ok((done, busy)) => worker_stats.push((worker_stats.len(), done, busy)),
+                Ok((done, busy, builds)) => {
+                    worker_stats.push((worker_stats.len(), done, busy));
+                    population_builds += builds;
+                }
                 Err(_) => any_panicked = true,
             }
         }
@@ -968,6 +987,10 @@ fn run_sweep_on_cache(
     telemetry.registry.set(g, jobs as f64);
     let g = telemetry.registry.gauge("sweep.intra_jobs");
     telemetry.registry.set(g, intra_jobs as f64);
+    if profile {
+        let c = telemetry.registry.counter("sweep.population_builds");
+        telemetry.registry.inc(c, population_builds);
+    }
 
     Ok(SweepReport {
         trials: records.len(),
@@ -991,6 +1014,7 @@ fn run_trial_supervised(
     warm: bool,
     supervision: &Supervision,
     intra_jobs: usize,
+    built: &mut BuiltPopulation,
 ) -> (crate::Result<SweepRecord>, u32) {
     let attempts_allowed = supervision.retries.saturating_add(1);
     let mut last = SimError::WorkerPanicked {
@@ -1035,6 +1059,7 @@ fn run_trial_supervised(
                 warm,
                 &guard,
                 intra_jobs,
+                built,
             )
         }));
         match outcome {
@@ -1057,6 +1082,42 @@ fn run_trial_supervised(
         }
     }
     (Err(last), attempts_allowed)
+}
+
+/// A sweep worker's most recent population build: the streams of one
+/// (population, seed) pair exactly as spawned, never run. Every trial of
+/// the pair — and every retry — runs on a clone, so it sees the same
+/// streams a fresh build would give it.
+#[derive(Default)]
+struct BuiltPopulation {
+    /// `(population index, seed)` of `streams`; `None` before the first
+    /// build or after a build that failed.
+    key: Option<(usize, u64)>,
+    streams: Vec<PhasedUtility>,
+    /// Populations this worker has built.
+    builds: u64,
+}
+
+impl BuiltPopulation {
+    /// Fresh streams for `trial`, built only when its (population, seed)
+    /// pair differs from the last one.
+    fn streams(
+        &mut self,
+        trial: &Trial,
+        population: &Population,
+        jobs: usize,
+    ) -> crate::Result<Vec<PhasedUtility>> {
+        let key = (trial.population, trial.seed);
+        if self.key != Some(key) {
+            // Release the previous pair's streams before building.
+            self.key = None;
+            self.streams = Vec::new();
+            self.streams = population.spawn_streams_jobs(trial.seed, jobs)?;
+            self.builds += 1;
+            self.key = Some(key);
+        }
+        Ok(self.streams.clone())
+    }
 }
 
 /// Solve one cell's equilibrium into the sweep cache ahead of the worker
@@ -1088,6 +1149,7 @@ fn run_trial(
     warm: bool,
     guard: &engine::RunGuard,
     intra_jobs: usize,
+    built: &mut BuiltPopulation,
 ) -> crate::Result<SweepRecord> {
     let variant = &spec.games[trial.game];
     let pop_spec = &spec.populations[trial.population];
@@ -1123,9 +1185,7 @@ fn run_trial(
         )?);
     }
     let config = SimConfig::new(game, spec.epochs, trial.seed)?.with_options(*scenario.options());
-    let mut streams = scenario
-        .population()
-        .spawn_streams_jobs(trial.seed, intra_jobs)?;
+    let mut streams = built.streams(trial, scenario.population(), intra_jobs)?;
     let result = engine::run_guarded(
         &config,
         &mut streams,
