@@ -576,35 +576,56 @@ const PHASE_PURPOSE: u64 = 8;
 struct PhaseKernel {
     /// Counter stream per agent, rooted at the stream's seed.
     keys: Vec<CounterLane>,
-    /// `1 / ln(1 - p_resample)` per agent — the scale that turns one
-    /// uniform into a geometric phase length by inversion (`-0.0` when
+    /// Index into `cohorts` per agent (a population has a handful of
+    /// cohorts, so this lane is small integers and `cohorts` stays
+    /// cache-hot).
+    cohort_of: Vec<u32>,
+    /// What the agents of one cohort share, once per distinct cohort.
+    cohorts: Vec<CohortKernel>,
+}
+
+/// The phase constants of one cohort: its density and its persistence
+/// are properties of the cohort, not of an agent.
+struct CohortKernel {
+    /// O(1) alias sampler over the cohort's density.
+    sampler: AliasSampler,
+    /// `1 / ln(1 - p_resample)` — the scale that turns one uniform into a
+    /// geometric phase length by inversion (`-0.0` when
     /// `p_resample >= 1`, which correctly yields length-1 phases).
-    gap_scale: Vec<f64>,
-    /// Index into `samplers` per agent (cohorts share one table, so this
-    /// lane is small integers and `samplers` stays cache-hot).
-    sampler_of: Vec<u32>,
-    /// One O(1) alias sampler per distinct cohort density.
-    samplers: Vec<AliasSampler>,
+    gap_scale: f64,
 }
 
 impl PhaseKernel {
     fn new(streams: &[PhasedUtility]) -> Self {
-        // Deduplicate by shared-table identity: spawn cohorts hand every
-        // stream of a benchmark the same `Arc`, so a population has a
-        // handful of distinct tables regardless of agent count (streams
-        // built one-off each carry their own, which degrades gracefully
-        // to one sampler per agent).
-        let mut seen: std::collections::HashMap<*const DiscreteDensity, u32> =
-            std::collections::HashMap::new();
-        let mut samplers = Vec::new();
-        let sampler_of = streams
+        // Deduplicate by shared-table identity and persistence: spawn
+        // cohorts hand every stream of a benchmark the same `Arc`, so a
+        // population has a handful of distinct cohorts regardless of
+        // agent count (streams built one-off each carry their own, which
+        // degrades gracefully to one cohort per agent). Spawned agents
+        // come in runs of one cohort — a homogeneous population is a
+        // single run — so an agent that continues its predecessor's run
+        // costs one compare, not a hash lookup.
+        type Key = (*const DiscreteDensity, u64);
+        let mut seen: std::collections::HashMap<Key, u32> = std::collections::HashMap::new();
+        let mut cohorts = Vec::new();
+        let mut run: Option<(Key, u32)> = None;
+        let cohort_of = streams
             .iter()
             .map(|s| {
-                let ptr = Arc::as_ptr(s.sample_table());
-                *seen.entry(ptr).or_insert_with(|| {
-                    samplers.push(AliasSampler::new(s.sample_table()));
-                    (samplers.len() - 1) as u32
-                })
+                let p = s.resample_probability();
+                let key = (Arc::as_ptr(s.sample_table()), p.to_bits());
+                let c = match run {
+                    Some((k, c)) if k == key => c,
+                    _ => *seen.entry(key).or_insert_with(|| {
+                        cohorts.push(CohortKernel {
+                            sampler: AliasSampler::new(s.sample_table()),
+                            gap_scale: 1.0 / (1.0 - p).ln(),
+                        });
+                        (cohorts.len() - 1) as u32
+                    }),
+                };
+                run = Some((key, c));
+                c
             })
             .collect();
         PhaseKernel {
@@ -612,20 +633,28 @@ impl PhaseKernel {
                 .iter()
                 .map(|s| CounterRng::new(s.stream_seed(), PHASE_PURPOSE).lane(0))
                 .collect(),
-            gap_scale: streams
-                .iter()
-                .map(|s| 1.0 / (1.0 - s.resample_probability()).ln())
-                .collect(),
-            sampler_of,
-            samplers,
+            cohort_of,
+            cohorts,
         }
+    }
+
+    /// Agent `a`'s resampled phase from one counter word: its high half
+    /// picks the alias-table bin, its low half the position in the bin.
+    #[inline]
+    fn sample(&self, a: usize, w: u64) -> f64 {
+        let scale = 1.0 / 4_294_967_296.0;
+        let u_bin = (w >> 32) as f64 * scale;
+        let u_pos = f64::from(w as u32) * scale;
+        self.cohorts[self.cohort_of[a] as usize]
+            .sampler
+            .sample(u_bin, u_pos)
     }
 
     /// A geometric phase length on `{1, 2, ...}` with mean `persistence`,
     /// by inversion of one uniform.
     #[inline]
     fn gap(&self, a: usize, u: f64) -> u64 {
-        geometric_gap(u, self.gap_scale[a])
+        geometric_gap(u, self.cohorts[self.cohort_of[a] as usize].gap_scale)
     }
 }
 
@@ -828,12 +857,7 @@ fn advance_agent(ctx: &EpochCtx<'_>, agent: u64, i: usize, v: &mut LaneView<'_>)
     let epoch = ctx.epoch as u64;
     if epoch == v.next_change[i] {
         let key = ctx.phases.keys[a];
-        let w = key.word(epoch, 0);
-        let sampler = &ctx.phases.samplers[ctx.phases.sampler_of[a] as usize];
-        let scale = 1.0 / 4_294_967_296.0;
-        let u_bin = (w >> 32) as f64 * scale;
-        let u_pos = f64::from(w as u32) * scale;
-        v.phase[i] = sampler.sample(u_bin, u_pos);
+        v.phase[i] = ctx.phases.sample(a, key.word(epoch, 0));
         v.next_change[i] = epoch + ctx.phases.gap(a, key.uniform(epoch, 1));
     }
     let mut flag = 0u8;
@@ -896,12 +920,7 @@ fn run_chunk_streamlined(
         if epoch == v.next_change[i] {
             let a = base + i;
             let key = ctx.phases.keys[a];
-            let w = key.word(epoch, 0);
-            let sampler = &ctx.phases.samplers[ctx.phases.sampler_of[a] as usize];
-            let scale = 1.0 / 4_294_967_296.0;
-            let u_bin = (w >> 32) as f64 * scale;
-            let u_pos = f64::from(w as u32) * scale;
-            v.phase[i] = sampler.sample(u_bin, u_pos);
+            v.phase[i] = ctx.phases.sample(a, key.word(epoch, 0));
             v.next_change[i] = epoch + ctx.phases.gap(a, key.uniform(epoch, 1));
         }
     }
