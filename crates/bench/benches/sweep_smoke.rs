@@ -6,6 +6,7 @@
 //!
 //! - the two reports serialize to byte-identical JSON;
 //! - repeated game configs hit the equilibrium cache (≥ 90 % hit rate);
+//! - the serial sweep builds each (population, seed) population once;
 //! - parallel execution is ≥ 2× faster than serial, enforced only when
 //!   the host actually has ≥ 4 cores (CI containers may not).
 //!
@@ -42,9 +43,15 @@ fn main() {
         options: RunOptions::default(),
     };
 
+    let mut serial_kit = Telemetry::in_memory();
     let started = Instant::now();
-    let serial = run_sweep(&spec, 1, &mut Telemetry::noop()).expect("serial sweep succeeds");
+    let serial = run_sweep(&spec, 1, &mut serial_kit).expect("serial sweep succeeds");
     let serial_nanos = started.elapsed().as_nanos() as u64;
+    let population_builds = serial_kit
+        .registry
+        .counter_value("sweep.population_builds")
+        .expect("an enabled kit counts population builds");
+    let pairs = (spec.populations.len() * spec.seeds.len()) as u64;
 
     let mut kit = Telemetry::in_memory();
     let started = Instant::now();
@@ -83,6 +90,9 @@ fn main() {
         "  cache     {hits} hits / {misses} misses ({:.1}%)",
         hit_rate * 100.0
     );
+    println!(
+        "  builds    {population_builds} populations for {pairs} (population, seed) pairs (jobs=1)"
+    );
 
     let json = format!(
         "{{\n  \"agents\": {agents},\n  \"epochs\": {epochs},\n  \"trials\": {},\n  \
@@ -90,7 +100,8 @@ fn main() {
          \"jobs\": {PARALLEL_JOBS},\n  \"cores\": {cores},\n  \"speedup\": {speedup:.4},\n  \
          \"speedup_enforced\": {enforce_speedup},\n  \"min_speedup\": {MIN_SPEEDUP},\n  \
          \"cache_hits\": {hits},\n  \"cache_misses\": {misses},\n  \
-         \"cache_hit_rate\": {hit_rate:.4},\n  \"min_hit_rate\": {MIN_HIT_RATE}\n}}\n",
+         \"cache_hit_rate\": {hit_rate:.4},\n  \"min_hit_rate\": {MIN_HIT_RATE},\n  \
+         \"population_builds\": {population_builds},\n  \"population_pairs\": {pairs}\n}}\n",
         serial.trials
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -107,15 +118,22 @@ fn main() {
         );
         std::process::exit(1);
     }
+    if population_builds > pairs {
+        eprintln!(
+            "FAIL: the serial sweep built {population_builds} populations for {pairs} \
+             (population, seed) pairs"
+        );
+        std::process::exit(1);
+    }
     if enforce_speedup && speedup < MIN_SPEEDUP {
         eprintln!("FAIL: parallel speedup {speedup:.2}x below the {MIN_SPEEDUP:.1}x floor");
         std::process::exit(1);
     }
     if enforce_speedup {
-        println!("PASS: byte-identical reports, cache and speedup within budget");
+        println!("PASS: byte-identical reports, builds, cache and speedup within budget");
     } else {
         println!(
-            "PASS: byte-identical reports, cache within budget \
+            "PASS: byte-identical reports, builds and cache within budget \
              (speedup not enforced on {cores} core(s))"
         );
     }

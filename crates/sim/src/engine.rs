@@ -2798,4 +2798,43 @@ mod tests {
             .expect("pooled observed runs export engine.pool.utilization");
         assert!((0.0..=1.0).contains(&util), "utilization = {util}");
     }
+
+    #[test]
+    fn phase_kernel_keeps_each_cohorts_sampler_and_scale() {
+        // Runs of one cohort, a return to an earlier cohort, and one-off
+        // streams whose persistence differs: every agent must resolve to
+        // its own cohort's table and gap scale.
+        let spawned = Population::heterogeneous(&[Benchmark::Svm, Benchmark::PageRank], 4)
+            .unwrap()
+            .spawn_streams(5)
+            .unwrap();
+        let one_off = |persistence: f64| {
+            PhasedUtility::new(Benchmark::Kmeans.speedup_distribution(), persistence, 9).unwrap()
+        };
+        let mut mixed = vec![
+            spawned[0].clone(),
+            spawned[2].clone(),
+            spawned[1].clone(),
+            spawned[3].clone(),
+            spawned[0].clone(),
+        ];
+        mixed.extend([one_off(1.0), one_off(8.0), spawned[1].clone()]);
+        let kernel = PhaseKernel::new(&mixed);
+        assert_eq!(kernel.cohorts.len(), 4);
+        assert_eq!(kernel.cohort_of, [0, 0, 1, 1, 0, 2, 3, 1]);
+        for (a, s) in mixed.iter().enumerate() {
+            let scale = 1.0 / (1.0 - s.resample_probability()).ln();
+            for u in [0.1, 0.5, 0.9, 0.999] {
+                assert_eq!(kernel.gap(a, u), geometric_gap(u, scale), "agent {a}");
+            }
+            let w = 0x0123_4567_89AB_CDEF_u64.rotate_left(a as u32);
+            let direct = AliasSampler::new(s.sample_table());
+            let u = |x: u32| f64::from(x) / 4_294_967_296.0;
+            assert_eq!(
+                kernel.sample(a, w),
+                direct.sample(u((w >> 32) as u32), u(w as u32)),
+                "agent {a}"
+            );
+        }
+    }
 }

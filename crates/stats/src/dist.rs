@@ -601,9 +601,10 @@ mod tests {
     #[test]
     fn pairs_above_the_skip_floor_are_accepted() {
         // `skip_sample` stops at any pair whose `u1` clears the floor, so
-        // `sample` must accept every such pair on its cosine candidate:
-        // probe the floor and the ulps above it at angles that include
-        // both extremes of the cosine (u2 = 0 and 1/2).
+        // `sample` must accept every such pair, and the floor promises it
+        // does so on the cosine candidate: probe the floor and the ulps
+        // above it at angles that include both extremes of the cosine
+        // (u2 = 0 and 1/2).
         for (mu, sigma, lo, hi) in [
             (4.0, 0.45, 3.0, 5.0),
             (12.0, 1.5, 8.0, 16.0),
@@ -616,8 +617,10 @@ mod tests {
             for _ in 0..16 {
                 for k in 0..=1024 {
                     let u2 = f64::from(k) / 1024.0;
-                    let x = d.accept(u1, u2);
-                    assert!(x.is_some(), "{d:?} rejects ({u1}, {u2})");
+                    let r = (-2.0 * u1.ln()).sqrt();
+                    let x = mu + sigma * (r * (2.0 * std::f64::consts::PI * u2).cos());
+                    assert!((lo..=hi).contains(&x), "{d:?}: cosine of ({u1}, {u2})");
+                    assert_eq!(d.accept(u1, u2), Some(x), "{d:?}: ({u1}, {u2})");
                 }
                 u1 = f64::from_bits(u1.to_bits() + 1);
             }

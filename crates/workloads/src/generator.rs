@@ -23,9 +23,10 @@ use crate::WorkloadError;
 const MAX_ARRIVAL_OFFSET_EPOCHS: usize = 64;
 
 /// Fewest agents worth a thread of their own in the arrival walk (about
-/// 13 ms of walking at the ~0.8 µs per agent measured on a 2-vCPU x86-64
-/// VM): smaller spans stay on the caller's thread, so paper-scale
-/// populations never pay a thread spawn.
+/// 11 ms of walking at the ~0.7 µs per svm agent measured on a 2-vCPU
+/// x86-64 VM, where evaluating every resample took ~1.1 µs): smaller
+/// spans stay on the caller's thread, so paper-scale populations never
+/// pay a thread spawn.
 const MIN_SPAN_AGENTS: usize = 1 << 14;
 
 /// A population of agents, each assigned a benchmark.
