@@ -35,7 +35,12 @@ fn main() {
 
         let scenario = paper_scenario(b, EPOCHS);
         let offline_run = scenario
-            .execute(PolicyKind::EquilibriumThreshold, 5, &mut Telemetry::noop())
+            .execute(
+                PolicyKind::EquilibriumThreshold,
+                5,
+                1,
+                &mut Telemetry::noop(),
+            )
             .expect("simulation succeeds");
 
         let mut learner =

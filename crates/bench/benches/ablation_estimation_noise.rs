@@ -42,6 +42,7 @@ fn main() {
                 &scenario,
                 &[PolicyKind::EquilibriumThreshold],
                 &TRIAL_SEEDS,
+                0,
                 &mut Telemetry::noop(),
             )
             .expect("comparison succeeds");

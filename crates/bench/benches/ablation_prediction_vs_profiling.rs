@@ -38,7 +38,12 @@ fn main() {
             .expect("equilibrium exists");
         let scenario = paper_scenario(b, EPOCHS);
         let profiled = scenario
-            .execute(PolicyKind::EquilibriumThreshold, 9, &mut Telemetry::noop())
+            .execute(
+                PolicyKind::EquilibriumThreshold,
+                9,
+                1,
+                &mut Telemetry::noop(),
+            )
             .expect("simulation succeeds");
 
         let mut streams = scenario

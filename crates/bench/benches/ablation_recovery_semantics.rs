@@ -32,6 +32,7 @@ fn main() {
                 &scenario,
                 &[PolicyKind::Greedy, PolicyKind::EquilibriumThreshold],
                 &TRIAL_SEEDS,
+                0,
                 &mut Telemetry::noop(),
             )
             .expect("comparison succeeds");

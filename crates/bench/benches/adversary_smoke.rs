@@ -33,6 +33,8 @@ use sprint_workloads::Benchmark;
 const MIN_RECOVERY: f64 = 0.95;
 /// Defector share of the rack population.
 const ADVERSARY_FRACTION: f64 = 0.1;
+/// Thread budget of the suite: 0 runs the trial pool on every core.
+const JOBS: usize = 0;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -52,10 +54,12 @@ fn main() {
         DetectorConfig::default(),
         mix,
         &seeds,
+        JOBS,
         &mut Telemetry::noop(),
     )
     .expect("adversary defense suite succeeds");
     let elapsed_nanos = started.elapsed().as_nanos() as u64;
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let latency = report
         .mean_detection_latency_epochs
@@ -87,7 +91,7 @@ fn main() {
          mean detection latency {latency} epochs",
         report.false_positive_exclusions, report.false_negatives
     );
-    println!("  elapsed    {elapsed_nanos} ns");
+    println!("  elapsed    {elapsed_nanos} ns (jobs={JOBS}, {cores} cores)");
 
     let json = format!(
         "{{\n  \"agents\": {agents},\n  \"epochs\": {epochs},\n  \"trials\": {trials},\n  \
@@ -97,7 +101,8 @@ fn main() {
          \"unenforced_ratio\": {:.6},\n  \"min_recovery\": {MIN_RECOVERY},\n  \
          \"detections\": {},\n  \"exclusions\": {},\n  \"readmissions\": {},\n  \
          \"false_positive_exclusions\": {},\n  \"false_negatives\": {},\n  \
-         \"mean_detection_latency_epochs\": {latency},\n  \"elapsed_nanos\": {elapsed_nanos}\n}}\n",
+         \"mean_detection_latency_epochs\": {latency},\n  \"elapsed_nanos\": {elapsed_nanos},\n  \
+         \"jobs\": {JOBS},\n  \"cores\": {cores}\n}}\n",
         report.honest_throughput,
         report.unenforced_throughput,
         report.enforced_throughput,

@@ -16,7 +16,7 @@ fn main() {
     let scenario = paper_scenario(Benchmark::DecisionTree, PAPER_EPOCHS);
     for kind in PolicyKind::ALL {
         let result = scenario
-            .execute(kind, 11, &mut Telemetry::noop())
+            .execute(kind, 11, 1, &mut Telemetry::noop())
             .expect("simulation succeeds");
         let series: Vec<f64> = result
             .sprinters_per_epoch()

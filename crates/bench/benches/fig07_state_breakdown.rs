@@ -20,7 +20,7 @@ fn main() {
     );
     for kind in PolicyKind::ALL {
         let result = scenario
-            .execute(kind, 11, &mut Telemetry::noop())
+            .execute(kind, 11, 1, &mut Telemetry::noop())
             .expect("simulation succeeds");
         let f = result.occupancy().fractions();
         println!(

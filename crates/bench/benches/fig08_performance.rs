@@ -26,6 +26,7 @@ fn main() {
             &scenario,
             &PolicyKind::ALL,
             &TRIAL_SEEDS,
+            0,
             &mut Telemetry::noop(),
         )
         .expect("comparison succeeds");

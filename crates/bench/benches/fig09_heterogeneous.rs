@@ -35,6 +35,7 @@ fn main() {
                 &scenario,
                 &policies,
                 &[100 + mix as u64],
+                0,
                 &mut Telemetry::noop(),
             )
             .expect("comparison succeeds");

@@ -74,6 +74,7 @@ fn bench_scenario_run(c: &mut Criterion) {
                 .execute(
                     black_box(PolicyKind::EquilibriumThreshold),
                     7,
+                    1,
                     &mut Telemetry::noop(),
                 )
                 .unwrap()

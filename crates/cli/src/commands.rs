@@ -106,6 +106,11 @@ Benchmarks: naive decision gradient svm linear kmeans als correlation
 Adversary kinds: greedy_defector stochastic_cheater collusive_clique
                  fictitious_play
 
+--jobs J: compare, sweep and chaos run their trials on one bounded pool
+of at most J threads (default 0: all cores); simulate, trace, report and
+monitor fan one run out over J threads (default 1). Output is the same at
+every J.
+
 `sprint serve` runs the rack-as-a-service daemon: POST a JobSpec (run,
 sweep, or chaos) to /v1/jobs and read the same canonical JobReport the
 CLI prints with --json true. Sweep spec files may be either a versioned
@@ -135,7 +140,9 @@ fn parse_policy(raw: &str) -> Result<PolicyKind, CliError> {
 
 /// Parse `--jobs` for run-style commands: default 1 (serial); 0 sizes
 /// the engine's agent-kernel worker pool to the available cores. Results
-/// are byte-identical at every job count.
+/// are byte-identical at every job count. `compare`, `chaos` and `sweep`
+/// read `--jobs` themselves, as a total thread budget with default 0
+/// (the available cores).
 fn parse_jobs(args: &ParsedArgs) -> Result<usize, CliError> {
     let jobs: usize = args.get_parsed("jobs", 1)?;
     Ok(if jobs == 0 {
@@ -397,7 +404,7 @@ pub fn trace(args: &ParsedArgs) -> Result<(), CliError> {
     let mut telemetry = Telemetry::new(Box::new(jsonl), SpanProfile::deterministic());
     let scenario = run.scenario().map_err(run_err)?;
     scenario
-        .execute_jobs(run.policy, run.seed, jobs, &mut telemetry)
+        .execute(run.policy, run.seed, jobs, &mut telemetry)
         .map_err(run_err)?;
     if let Some(path) = out {
         let epochs_seen = telemetry
@@ -449,7 +456,7 @@ pub fn report(args: &ParsedArgs) -> Result<(), CliError> {
     let scenario = run.scenario().map_err(run_err)?;
     let mut telemetry = Telemetry::in_memory();
     let result = scenario
-        .execute_jobs(run.policy, run.seed, jobs, &mut telemetry)
+        .execute(run.policy, run.seed, jobs, &mut telemetry)
         .map_err(run_err)?;
     let solver_residuals: Vec<f64> = telemetry
         .events()
@@ -557,14 +564,14 @@ pub fn compare(args: &ParsedArgs) -> Result<(), CliError> {
     let agents: u32 = args.get_parsed("agents", 1000)?;
     let epochs: usize = args.get_parsed("epochs", 600)?;
     let n_seeds: u64 = args.get_parsed("seeds", 3)?;
-    let jobs = parse_jobs(args)?;
+    let jobs: usize = args.get_parsed("jobs", 0)?;
     if n_seeds == 0 {
         return Err(ArgError("--seeds must be at least 1".into()).into());
     }
 
     let scenario = Scenario::homogeneous(benchmark, agents, epochs).map_err(run_err)?;
     let seeds: Vec<u64> = (1..=n_seeds).collect();
-    let cmp = sprint_sim::runner::compare_jobs(
+    let cmp = sprint_sim::runner::compare(
         &scenario,
         &PolicyKind::ALL,
         &seeds,
@@ -853,7 +860,7 @@ pub fn chaos(args: &ParsedArgs) -> Result<(), CliError> {
     let agents: u32 = args.get_parsed("agents", 1000)?;
     let epochs: usize = args.get_parsed("epochs", 600)?;
     let n_seeds: u64 = args.get_parsed("seeds", 2)?;
-    let jobs = parse_jobs(args)?;
+    let jobs: usize = args.get_parsed("jobs", 0)?;
     let fault_seed: u64 = args.get_parsed("fault-seed", 17)?;
     let json = args.get_bool("json", false)?;
     let with_telemetry = args.get_bool("telemetry", false)?;
@@ -1512,7 +1519,7 @@ fn monitor_live(args: &ParsedArgs, every: u64, json: bool) -> Result<(), CliErro
     let (result, mut kit) = std::thread::scope(|scope| {
         let handle = scope.spawn(move || {
             let mut kit = Telemetry::new(Box::new(producer), SpanProfile::monotonic());
-            let result = scenario.execute_jobs(policy, seed, jobs, &mut kit);
+            let result = scenario.execute(policy, seed, jobs, &mut kit);
             (result, kit)
         });
         while !handle.is_finished() {

@@ -78,8 +78,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Job worker threads (minimum 1).
     pub workers: usize,
-    /// Engine fan-out per job (`0` = available cores); never affects
-    /// report bytes.
+    /// Thread budget per job (`0` = available cores): engine fan-out for
+    /// runs, the trial pool's budget for sweeps and chaos suites; never
+    /// affects report bytes.
     pub jobs: usize,
     /// Ceiling on the per-job `jobs` a submitted [`RunSpec`] may request
     /// (`0` = available cores), so HTTP clients can size the engine's

@@ -413,9 +413,9 @@ pub struct JobReport {
 /// what its report says, so they live outside the [`JobSpec`].
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Worker fan-out (engine threads for runs, pool size for sweeps).
-    /// `0` sizes to the available cores. Reports are byte-identical at
-    /// every job count.
+    /// Thread budget (engine threads for runs, the trial pool's total
+    /// budget for sweeps and chaos suites). `0` sizes to the available
+    /// cores. Reports are byte-identical at every job count.
     pub jobs: usize,
     /// Ceiling on the per-run thread budget a [`RunSpec::jobs`] request
     /// can claim. `0` caps at the available cores. The daemon sets this
@@ -511,9 +511,10 @@ pub fn execute(
                 .map(|report| JobOutcome::Sweep { report })
         }
         JobKind::Chaos { spec: chaos } => {
-            // Chaos suites run whole sub-simulations without a guard
-            // thread-through; cancellation is only effective while the
-            // job is queued or between this check and the suite start.
+            // Chaos suites run their trials on the bounded trial pool
+            // within `opts.jobs`, without a guard thread-through:
+            // cancellation is only effective while the job is queued or
+            // between this check and the suite start.
             if let Some(t) = &token {
                 t.check("chaos job").map_err(job_err)?;
             }
@@ -618,12 +619,12 @@ fn execute_chaos(
     Ok(match &chaos.mode {
         ChaosMode::Matrix => {
             let plans = runner::standard_fault_suite(chaos.fault_seed);
-            let report = runner::chaos_jobs(
+            let report = runner::chaos(
                 &scenario,
                 &PolicyKind::ALL,
                 &plans,
                 &seeds,
-                effective_jobs(opts.jobs),
+                opts.jobs,
                 telemetry,
             )
             .map_err(job_err)?;
@@ -632,9 +633,15 @@ fn execute_chaos(
         ChaosMode::Partition { start, duration } => {
             let start = start.unwrap_or(chaos.epochs / 2);
             let plan = FaultPlan::partition_chaos(chaos.fault_seed, start, *duration);
-            let report =
-                runner::resilience(&scenario, plan, ControlConfig::default(), &seeds, telemetry)
-                    .map_err(job_err)?;
+            let report = runner::resilience(
+                &scenario,
+                plan,
+                ControlConfig::default(),
+                &seeds,
+                opts.jobs,
+                telemetry,
+            )
+            .map_err(job_err)?;
             ChaosOutcome::Partition { report }
         }
         ChaosMode::Adversaries { mix } => {
@@ -646,6 +653,7 @@ fn execute_chaos(
                 DetectorConfig::default(),
                 *mix,
                 &seeds,
+                opts.jobs,
                 telemetry,
             )
             .map_err(job_err)?;
@@ -803,7 +811,12 @@ mod tests {
         };
         let scenario = Scenario::homogeneous(Benchmark::Svm, 20, 15).unwrap();
         let direct = scenario
-            .execute(PolicyKind::EquilibriumThreshold, 3, &mut Telemetry::noop())
+            .execute(
+                PolicyKind::EquilibriumThreshold,
+                3,
+                1,
+                &mut Telemetry::noop(),
+            )
             .unwrap();
         assert_eq!(run.tasks_per_agent_epoch, direct.tasks_per_agent_epoch());
         assert_eq!(run.trips, direct.trips());

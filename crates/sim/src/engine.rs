@@ -439,17 +439,6 @@ pub struct RunGuard {
     pub cancel: Option<CancelToken>,
 }
 
-impl RunGuard {
-    /// A guard with only a per-attempt deadline.
-    #[must_use]
-    pub fn with_deadline(deadline: Option<Deadline>) -> Self {
-        RunGuard {
-            deadline,
-            cancel: None,
-        }
-    }
-}
-
 /// Fraction of the epoch elapsed before the breaker's thermal element
 /// trips, from the center of the UL489 I²t band. Mild overloads (near
 /// `N_min`) trip late; heavy overloads (beyond `N_max`) trip early.
@@ -1611,7 +1600,7 @@ pub fn run(
     policy: &mut dyn SprintPolicy,
     telemetry: &mut Telemetry,
 ) -> crate::Result<SimResult> {
-    run_supervised(config, streams, policy, None, 1, telemetry)
+    run_guarded(config, streams, policy, &RunGuard::default(), 1, telemetry)
 }
 
 /// [`run`] with the agent kernel fanned out over `jobs` scoped threads.
@@ -1630,62 +1619,28 @@ pub fn run_jobs(
     jobs: usize,
     telemetry: &mut Telemetry,
 ) -> crate::Result<SimResult> {
-    run_supervised(config, streams, policy, None, jobs, telemetry)
-}
-
-/// [`run`], abandoned cooperatively if the deadline passes.
-///
-/// The deadline is checked at epoch boundaries (every 64 epochs, so the
-/// hot loop pays nothing measurable); a run that blows past it returns
-/// [`SimError::DeadlineExceeded`] carrying the deadline's configured
-/// limit. The check reads the wall clock but never feeds it into the
-/// dynamics, so a run that *completes* is bit-identical to an undeadlined
-/// run — the deadline decides only whether a result exists, which is
-/// exactly the property sweep supervision needs to quarantine hung trials
-/// without breaking byte-reproducibility of surviving ones.
-///
-/// # Errors
-///
-/// As [`run`], plus [`SimError::DeadlineExceeded`].
-pub fn run_with_deadline(
-    config: &SimConfig,
-    streams: &mut [PhasedUtility],
-    policy: &mut dyn SprintPolicy,
-    deadline: Option<Deadline>,
-    telemetry: &mut Telemetry,
-) -> crate::Result<SimResult> {
-    run_supervised(config, streams, policy, deadline, 1, telemetry)
-}
-
-/// [`run_guarded`] with only a deadline — kept as the ergonomic entry
-/// point for sweep-style per-attempt supervision.
-///
-/// # Errors
-///
-/// As [`run`], plus [`SimError::DeadlineExceeded`] when the deadline
-/// passes.
-pub fn run_supervised(
-    config: &SimConfig,
-    streams: &mut [PhasedUtility],
-    policy: &mut dyn SprintPolicy,
-    deadline: Option<Deadline>,
-    jobs: usize,
-    telemetry: &mut Telemetry,
-) -> crate::Result<SimResult> {
     run_guarded(
         config,
         streams,
         policy,
-        &RunGuard::with_deadline(deadline),
+        &RunGuard::default(),
         jobs,
         telemetry,
     )
 }
 
 /// The full-control entry point: optional per-attempt deadline, shared
-/// cancel/job-deadline token, and intra-run parallelism. [`run`],
-/// [`run_jobs`], [`run_with_deadline`], and [`run_supervised`] are thin
-/// wrappers over this.
+/// cancel/job-deadline token, and intra-run parallelism. [`run`] and
+/// [`run_jobs`] are thin wrappers over this.
+///
+/// Deadlines are checked at epoch boundaries (every 64 epochs, so the
+/// hot loop pays nothing measurable); a run that blows past one returns
+/// [`SimError::DeadlineExceeded`] carrying the deadline's configured
+/// limit. The check reads the wall clock but never feeds it into the
+/// dynamics, so a run that *completes* is bit-identical to an unguarded
+/// run — a guard decides only whether a result exists, which is exactly
+/// the property sweep supervision needs to quarantine hung trials
+/// without breaking byte-reproducibility of surviving ones.
 ///
 /// # Errors
 ///
@@ -2493,8 +2448,12 @@ mod tests {
         // Already-expired deadline with a nonzero configured limit: the
         // error must echo the limit, not 0.
         let d = Deadline::new(std::time::Instant::now(), 40);
-        let err = run_with_deadline(&cfg, &mut s, &mut policy, Some(d), &mut Telemetry::noop())
-            .unwrap_err();
+        let guard = RunGuard {
+            deadline: Some(d),
+            cancel: None,
+        };
+        let err =
+            run_guarded(&cfg, &mut s, &mut policy, &guard, 1, &mut Telemetry::noop()).unwrap_err();
         match err {
             SimError::DeadlineExceeded { limit_ms, .. } => assert_eq!(limit_ms, 40),
             other => panic!("expected DeadlineExceeded, got {other}"),

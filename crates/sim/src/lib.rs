@@ -26,8 +26,8 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let scenario = Scenario::homogeneous(Benchmark::DecisionTree, 200, 300)?;
-//! let greedy = scenario.execute(PolicyKind::Greedy, 7, &mut Telemetry::noop())?;
-//! let equilibrium = scenario.execute(PolicyKind::EquilibriumThreshold, 7, &mut Telemetry::noop())?;
+//! let greedy = scenario.execute(PolicyKind::Greedy, 7, 1, &mut Telemetry::noop())?;
+//! let equilibrium = scenario.execute(PolicyKind::EquilibriumThreshold, 7, 1, &mut Telemetry::noop())?;
 //! assert!(equilibrium.tasks_per_agent_epoch() > greedy.tasks_per_agent_epoch());
 //! # Ok(())
 //! # }
@@ -40,6 +40,7 @@ pub mod faults;
 pub mod metrics;
 pub mod policies;
 pub mod policy;
+mod pool;
 pub mod runner;
 pub mod scenario;
 pub mod sweep;

@@ -2,19 +2,22 @@
 //!
 //! The paper reports averages over repeated randomized runs (e.g.
 //! Figure 9 repeats each mix ten times). [`compare`] runs a scenario
-//! under several policies across several seeds in parallel (one thread
-//! per policy × seed pair, via `std::thread::scope`) and aggregates the
-//! metrics; [`chaos`] crosses that with fault plans. For full cartesian
-//! grids over games, populations, and options, see [`crate::sweep`].
+//! under several policies across several seeds and aggregates the
+//! metrics; [`chaos`] crosses that with fault plans; [`resilience`] and
+//! [`adversary_defense`] repeat control-plane trials per seed. Every
+//! suite runs its trials on the bounded trial pool within the caller's
+//! thread budget and aggregates them in trial order, so a report is
+//! byte-identical at every budget. For full cartesian grids over games,
+//! populations, and options, see [`crate::sweep`].
 
 use sprint_stats::summary::{confidence_interval_95, ConfidenceInterval, OnlineStats};
-use sprint_telemetry::{SpanProfile, Telemetry};
+use sprint_telemetry::Telemetry;
 
 use crate::control::{ControlConfig, ControlReport, ControlSim, DetectorConfig};
 use crate::faults::{FaultMetrics, FaultPlan};
-use crate::metrics::SimResult;
 use crate::policies::AdversaryMix;
 use crate::policy::PolicyKind;
+use crate::pool::{self, BuiltPopulation};
 use crate::scenario::Scenario;
 use crate::SimError;
 
@@ -74,26 +77,33 @@ impl Comparison {
     }
 }
 
-fn aggregate(policy: PolicyKind, results: &[SimResult]) -> PolicyOutcome {
-    let per_trial: Vec<f64> = results
-        .iter()
-        .map(SimResult::tasks_per_agent_epoch)
-        .collect();
+/// What [`aggregate`] reads from one trial's
+/// [`SimResult`](crate::metrics::SimResult). Suites keep this instead of
+/// the result, so they hold no per-epoch series.
+struct TrialFacts {
+    tasks: f64,
+    occupancy: [f64; 4],
+    sprinters: f64,
+    trips: u32,
+    faults: FaultMetrics,
+}
+
+fn aggregate(policy: PolicyKind, trials: &[TrialFacts]) -> PolicyOutcome {
+    let per_trial: Vec<f64> = trials.iter().map(|t| t.tasks).collect();
     let tasks: OnlineStats = per_trial.iter().copied().collect();
     let tasks_ci = confidence_interval_95(&per_trial).ok();
     let mut occupancy = [0.0f64; 4];
-    for r in results {
-        let f = r.occupancy().fractions();
-        for (acc, x) in occupancy.iter_mut().zip(f) {
+    for t in trials {
+        for (acc, x) in occupancy.iter_mut().zip(t.occupancy) {
             *acc += x;
         }
     }
     for acc in &mut occupancy {
-        *acc /= results.len() as f64;
+        *acc /= trials.len() as f64;
     }
     let mut faults = FaultMetrics::default();
-    for r in results {
-        let f = r.faults();
+    for t in trials {
+        let f = t.faults;
         faults.crashes += f.crashes;
         faults.restarts += f.restarts;
         faults.crashed_agent_epochs += f.crashed_agent_epochs;
@@ -108,57 +118,54 @@ fn aggregate(policy: PolicyKind, results: &[SimResult]) -> PolicyOutcome {
         tasks_std_dev: tasks.std_dev(),
         tasks_ci,
         occupancy,
-        mean_sprinters: results.iter().map(SimResult::mean_sprinters).sum::<f64>()
-            / results.len() as f64,
-        trips: results.iter().map(|r| f64::from(r.trips())).sum::<f64>() / results.len() as f64,
+        mean_sprinters: trials.iter().map(|t| t.sprinters).sum::<f64>() / trials.len() as f64,
+        trips: trials.iter().map(|t| f64::from(t.trips)).sum::<f64>() / trials.len() as f64,
         faults,
     }
 }
 
-/// Run `scenario` under each policy for every seed, in parallel, and
-/// aggregate — the unified entry point. Pass [`Telemetry::noop()`] for
-/// an unprofiled comparison; with a kit attached, each `policy × seed`
-/// thread times its own trial and the durations accumulate in the kit's
-/// span profile under `trial.<policy>` (plus `runner.compare` for the
-/// whole comparison), without perturbing the parallel execution.
+/// Run `scenario` under each policy for every seed, within a budget of
+/// `jobs` threads (0 means the available cores), and aggregate — the
+/// unified entry point. Pass [`Telemetry::noop()`] for an unprofiled
+/// comparison; with a kit attached, each trial's duration accumulates in
+/// the kit's span profile under `trial.<policy>` (plus `runner.compare`
+/// for the whole comparison), and the population builds under the
+/// `runner.population_builds` counter.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParameter`] for empty `policies`/`seeds`
-/// and propagates the first simulation error encountered.
+/// and propagates the first simulation error in trial order.
 pub fn compare(
     scenario: &Scenario,
     policies: &[PolicyKind],
     seeds: &[u64],
+    jobs: usize,
     telemetry: &mut Telemetry,
 ) -> crate::Result<Comparison> {
-    compare_impl(scenario, policies, seeds, 1, &mut telemetry.spans)
+    let mut legs = compare_legs(
+        std::slice::from_ref(scenario),
+        policies,
+        seeds,
+        jobs,
+        telemetry,
+    )?;
+    Ok(legs.remove(0))
 }
 
-/// [`compare`] with each trial's agent kernel fanned out over `jobs`
-/// scoped threads ([`Scenario::execute_jobs`]); aggregates are
-/// byte-identical at every job count.
-///
-/// # Errors
-///
-/// As [`compare`].
-pub fn compare_jobs(
-    scenario: &Scenario,
+/// Compare every leg (one scenario each) in one pass on the trial pool.
+/// Trial `(leg × policies + policy) × seeds + seed` runs `policy` on the
+/// leg for `seed`. Workers take the trials grouped by seed, so each
+/// builds a seed's population once and runs the seed's other trials on
+/// clones; every leg shares the population, since legs differ only in
+/// their run options.
+fn compare_legs(
+    legs: &[Scenario],
     policies: &[PolicyKind],
     seeds: &[u64],
     jobs: usize,
     telemetry: &mut Telemetry,
-) -> crate::Result<Comparison> {
-    compare_impl(scenario, policies, seeds, jobs, &mut telemetry.spans)
-}
-
-fn compare_impl(
-    scenario: &Scenario,
-    policies: &[PolicyKind],
-    seeds: &[u64],
-    jobs: usize,
-    spans: &mut SpanProfile,
-) -> crate::Result<Comparison> {
+) -> crate::Result<Vec<Comparison>> {
     if policies.is_empty() {
         return Err(SimError::InvalidParameter {
             name: "policies",
@@ -174,46 +181,62 @@ fn compare_impl(
         });
     }
 
-    let compare_started = std::time::Instant::now();
-    let results: Vec<crate::Result<(PolicyKind, SimResult, u64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = policies
-            .iter()
-            .flat_map(|&policy| seeds.iter().map(move |&seed| (policy, seed)))
-            .map(|(policy, seed)| {
-                scope.spawn(move || {
-                    let started = std::time::Instant::now();
-                    scenario
-                        .execute_jobs(policy, seed, jobs, &mut Telemetry::noop())
-                        .map(|r| (policy, r, started.elapsed().as_nanos() as u64))
-                })
+    let per_leg = policies.len() * seeds.len();
+    let mut order: Vec<usize> = (0..legs.len() * per_leg).collect();
+    order.sort_by_key(|&id| id % seeds.len());
+    let (workers, intra_jobs) = pool::thread_budget(jobs, order.len());
+    let started = std::time::Instant::now();
+    let drained = pool::run(
+        (0..workers).map(|_| BuiltPopulation::default()).collect(),
+        &order,
+        "policy comparison trial",
+        |built, id| {
+            let leg = &legs[id / per_leg];
+            let policy = policies[id / seeds.len() % policies.len()];
+            let seed = seeds[id % seeds.len()];
+            let mut streams = built.streams(0, leg.population(), seed, intra_jobs)?;
+            leg.execute_on(
+                &mut streams,
+                policy,
+                seed,
+                intra_jobs,
+                &mut Telemetry::noop(),
+            )
+            .map(|r| TrialFacts {
+                tasks: r.tasks_per_agent_epoch(),
+                occupancy: r.occupancy().fractions(),
+                sprinters: r.mean_sprinters(),
+                trips: r.trips(),
+                faults: r.faults(),
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or(Err(SimError::WorkerPanicked {
-                    what: "policy comparison trial",
-                }))
-            })
-            .collect()
-    });
-    spans.record_nanos(
-        "runner.compare",
-        compare_started.elapsed().as_nanos() as u64,
+        },
     );
-
-    let mut by_policy: Vec<(PolicyKind, Vec<SimResult>)> =
-        policies.iter().map(|&p| (p, Vec::new())).collect();
-    for r in results {
-        let (policy, result, nanos) = r?;
-        spans.record_nanos(&format!("trial.{policy}"), nanos);
-        if let Some((_, bucket)) = by_policy.iter_mut().find(|(p, _)| *p == policy) {
-            bucket.push(result);
-        }
+    telemetry
+        .spans
+        .record_nanos("runner.compare", started.elapsed().as_nanos() as u64);
+    if telemetry.enabled() {
+        let builds = drained.workers.iter().map(|w| w.state.builds).sum();
+        let c = telemetry.registry.counter("runner.population_builds");
+        telemetry.registry.inc(c, builds);
     }
-    Ok(Comparison {
-        outcomes: by_policy.iter().map(|(p, rs)| aggregate(*p, rs)).collect(),
-    })
+
+    let mut results = drained.results.into_iter();
+    let mut comparisons = Vec::with_capacity(legs.len());
+    for _ in legs {
+        let mut outcomes = Vec::with_capacity(policies.len());
+        for &policy in policies {
+            let mut runs = Vec::with_capacity(seeds.len());
+            for (result, nanos) in results.by_ref().take(seeds.len()) {
+                runs.push(result?);
+                telemetry
+                    .spans
+                    .record_nanos(&format!("trial.{policy}"), nanos);
+            }
+            outcomes.push(aggregate(policy, &runs));
+        }
+        comparisons.push(Comparison { outcomes });
+    }
+    Ok(comparisons)
 }
 
 /// A fault plan with a display name, for chaos-matrix axes.
@@ -314,49 +337,24 @@ impl ChaosReport {
 
 /// Run the policy × fault-plan chaos matrix: every policy under every
 /// plan across every seed, compared against the same policies' fault-free
-/// baseline — the unified entry point. Pass [`Telemetry::noop()`] for an
-/// unprofiled matrix; with a kit attached, trial durations accumulate in
-/// its span profile under `trial.<policy>` across the baseline and every
-/// fault plan.
+/// baseline — the unified entry point. The baseline and every plan run
+/// as one pass on the trial pool within a budget of `jobs` threads (0
+/// means the available cores), building each seed's population once per
+/// worker. Pass [`Telemetry::noop()`] for an unprofiled matrix; with a
+/// kit attached, trial durations accumulate in its span profile under
+/// `trial.<policy>` across the baseline and every fault plan.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParameter`] for empty inputs or an invalid
-/// fault plan, and propagates the first simulation error encountered.
+/// fault plan, and propagates the first simulation error in trial order.
 pub fn chaos(
     scenario: &Scenario,
     policies: &[PolicyKind],
     plans: &[NamedPlan],
     seeds: &[u64],
-    telemetry: &mut Telemetry,
-) -> crate::Result<ChaosReport> {
-    chaos_impl(scenario, policies, plans, seeds, 1, &mut telemetry.spans)
-}
-
-/// [`chaos`] with each trial's agent kernel fanned out over `jobs`
-/// scoped threads; the report is byte-identical at every job count.
-///
-/// # Errors
-///
-/// As [`chaos`].
-pub fn chaos_jobs(
-    scenario: &Scenario,
-    policies: &[PolicyKind],
-    plans: &[NamedPlan],
-    seeds: &[u64],
     jobs: usize,
     telemetry: &mut Telemetry,
-) -> crate::Result<ChaosReport> {
-    chaos_impl(scenario, policies, plans, seeds, jobs, &mut telemetry.spans)
-}
-
-fn chaos_impl(
-    scenario: &Scenario,
-    policies: &[PolicyKind],
-    plans: &[NamedPlan],
-    seeds: &[u64],
-    jobs: usize,
-    spans: &mut SpanProfile,
 ) -> crate::Result<ChaosReport> {
     if plans.is_empty() {
         return Err(SimError::InvalidParameter {
@@ -368,17 +366,14 @@ fn chaos_impl(
     for p in plans {
         p.plan.validate()?;
     }
-    let baseline = compare_impl(
-        &scenario.clone().with_faults(FaultPlan::none()),
-        policies,
-        seeds,
-        jobs,
-        spans,
-    )?;
+    let legs: Vec<Scenario> = std::iter::once(FaultPlan::none())
+        .chain(plans.iter().map(|p| p.plan))
+        .map(|plan| scenario.clone().with_faults(plan))
+        .collect();
+    let mut legs = compare_legs(&legs, policies, seeds, jobs, telemetry)?.into_iter();
+    let baseline = legs.next().expect("the fault-free leg comes first");
     let mut cells = Vec::with_capacity(plans.len() * policies.len());
-    for named in plans {
-        let faulted = scenario.clone().with_faults(named.plan);
-        let cmp = compare_impl(&faulted, policies, seeds, jobs, spans)?;
+    for (named, cmp) in plans.iter().zip(legs) {
         for outcome in cmp.outcomes() {
             let base = baseline
                 .outcome(outcome.policy)
@@ -439,9 +434,10 @@ impl ResilienceReport {
 }
 
 /// Run the partition-resilience suite: one [`ControlSim`] trial per
-/// seed (in parallel, one thread each) under `plan`, aggregated in seed
-/// order so the report is byte-reproducible. With a telemetry kit
-/// attached, per-trial durations accumulate under `trial.control`.
+/// seed under `plan`, on the trial pool within a budget of `jobs`
+/// threads (0 means the available cores), aggregated in seed order so
+/// the report is byte-reproducible. With a telemetry kit attached,
+/// per-trial durations accumulate under `trial.control`.
 ///
 /// # Errors
 ///
@@ -453,6 +449,7 @@ pub fn resilience(
     plan: FaultPlan,
     control: ControlConfig,
     seeds: &[u64],
+    jobs: usize,
     telemetry: &mut Telemetry,
 ) -> crate::Result<ResilienceReport> {
     if seeds.is_empty() {
@@ -469,33 +466,19 @@ pub fn resilience(
     )?
     .with_faults(plan)
     .with_control(control);
-    let results: Vec<crate::Result<(ControlReport, u64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                let sim = &sim;
-                scope.spawn(move || {
-                    let started = std::time::Instant::now();
-                    sim.run(seed, &mut Telemetry::noop())
-                        .map(|r| (r, started.elapsed().as_nanos() as u64))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or(Err(SimError::WorkerPanicked {
-                    what: "control-plane resilience trial",
-                }))
-            })
-            .collect()
-    });
+    let (workers, _) = pool::thread_budget(jobs, seeds.len());
+    let order: Vec<usize> = (0..seeds.len()).collect();
+    let drained = pool::run(
+        vec![(); workers],
+        &order,
+        "control-plane resilience trial",
+        |(), i| sim.run(seeds[i], &mut Telemetry::noop()),
+    );
 
     let mut trials = Vec::with_capacity(seeds.len());
-    for r in results {
-        let (report, nanos) = r?;
+    for (result, nanos) in drained.results {
+        trials.push(result?);
         telemetry.spans.record_nanos("trial.control", nanos);
-        trials.push(report);
     }
     let invariant_violations = trials.iter().map(|t| t.invariant_violations).sum();
     let recoveries: u64 = trials.iter().map(|t| t.recoveries).sum();
@@ -579,9 +562,10 @@ pub struct AdversaryReport {
 
 /// Run the adversary-defense suite: for each seed, the same rack is run
 /// honest (detector armed — any sanction is a false positive), with
-/// adversaries unchecked, and with graduated enforcement. One thread
-/// per seed; aggregation is in seed order so the report is
-/// byte-reproducible at any parallelism. With a telemetry kit attached,
+/// adversaries unchecked, and with graduated enforcement. Seeds run on
+/// the trial pool within a budget of `jobs` threads (0 means the
+/// available cores); aggregation is in seed order so the report is
+/// byte-reproducible at any budget. With a telemetry kit attached,
 /// per-trial durations accumulate under `trial.adversary` and per-trial
 /// detection-latency / false-positive / false-negative distributions
 /// land in the metrics registry.
@@ -590,6 +574,7 @@ pub struct AdversaryReport {
 ///
 /// Returns [`SimError::InvalidParameter`] for empty `seeds` or an
 /// adversary fraction of zero, and propagates configuration errors.
+#[allow(clippy::too_many_arguments)]
 pub fn adversary_defense(
     scenario: &Scenario,
     plan: FaultPlan,
@@ -597,6 +582,7 @@ pub fn adversary_defense(
     detector: DetectorConfig,
     mix: AdversaryMix,
     seeds: &[u64],
+    jobs: usize,
     telemetry: &mut Telemetry,
 ) -> crate::Result<AdversaryReport> {
     if seeds.is_empty() {
@@ -632,43 +618,27 @@ pub fn adversary_defense(
         });
     let enforced_sim = base.with_adversaries(mix).with_detector(detector);
 
-    let results: Vec<crate::Result<(AdversaryTrial, u64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                let (h, u, e) = (&honest_sim, &unenforced_sim, &enforced_sim);
-                scope.spawn(move || {
-                    let started = std::time::Instant::now();
-                    let honest = h.run(seed, &mut Telemetry::noop())?;
-                    let unenforced = u.run(seed, &mut Telemetry::noop())?;
-                    let enforced = e.run(seed, &mut Telemetry::noop())?;
-                    Ok((
-                        AdversaryTrial {
-                            seed,
-                            honest,
-                            unenforced,
-                            enforced,
-                        },
-                        started.elapsed().as_nanos() as u64,
-                    ))
-                })
+    let (workers, _) = pool::thread_budget(jobs, seeds.len());
+    let order: Vec<usize> = (0..seeds.len()).collect();
+    let drained = pool::run(
+        vec![(); workers],
+        &order,
+        "adversary-defense trial",
+        |(), i| {
+            let seed = seeds[i];
+            Ok(AdversaryTrial {
+                seed,
+                honest: honest_sim.run(seed, &mut Telemetry::noop())?,
+                unenforced: unenforced_sim.run(seed, &mut Telemetry::noop())?,
+                enforced: enforced_sim.run(seed, &mut Telemetry::noop())?,
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or(Err(SimError::WorkerPanicked {
-                    what: "adversary-defense trial",
-                }))
-            })
-            .collect()
-    });
+        },
+    );
 
     let mut trials = Vec::with_capacity(seeds.len());
-    for r in results {
-        let (trial, nanos) = r?;
+    for (result, nanos) in drained.results {
+        trials.push(result?);
         telemetry.spans.record_nanos("trial.adversary", nanos);
-        trials.push(trial);
     }
 
     let mean_throughput = |pick: fn(&AdversaryTrial) -> &ControlReport| -> f64 {
@@ -776,8 +746,8 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let s = Scenario::homogeneous(Benchmark::Svm, 20, 10).unwrap();
-        assert!(compare(&s, &[], &[1], &mut Telemetry::noop()).is_err());
-        assert!(compare(&s, &[PolicyKind::Greedy], &[], &mut Telemetry::noop()).is_err());
+        assert!(compare(&s, &[], &[1], 0, &mut Telemetry::noop()).is_err());
+        assert!(compare(&s, &[PolicyKind::Greedy], &[], 0, &mut Telemetry::noop()).is_err());
     }
 
     #[test]
@@ -785,7 +755,7 @@ mod tests {
         // E-T and C-T beat E-B which beats (or ties) G for a diverse
         // profile, even at reduced scale.
         let s = Scenario::homogeneous(Benchmark::DecisionTree, 120, 300).unwrap();
-        let cmp = compare(&s, &PolicyKind::ALL, &[1, 2], &mut Telemetry::noop()).unwrap();
+        let cmp = compare(&s, &PolicyKind::ALL, &[1, 2], 0, &mut Telemetry::noop()).unwrap();
         let g = cmp
             .outcome(PolicyKind::Greedy)
             .unwrap()
@@ -814,7 +784,7 @@ mod tests {
     #[test]
     fn greedy_normalization_is_one() {
         let s = Scenario::homogeneous(Benchmark::Als, 40, 60).unwrap();
-        let cmp = compare(&s, &[PolicyKind::Greedy], &[5], &mut Telemetry::noop()).unwrap();
+        let cmp = compare(&s, &[PolicyKind::Greedy], &[5], 0, &mut Telemetry::noop()).unwrap();
         assert!((cmp.normalized_to_greedy(PolicyKind::Greedy).unwrap() - 1.0).abs() < 1e-12);
         assert!(cmp
             .normalized_to_greedy(PolicyKind::CooperativeThreshold)
@@ -828,6 +798,7 @@ mod tests {
             &s,
             &[PolicyKind::Greedy],
             &[1, 2, 3],
+            0,
             &mut Telemetry::noop(),
         )
         .unwrap();
@@ -846,7 +817,7 @@ mod tests {
         let s = Scenario::homogeneous(Benchmark::Svm, 20, 30).unwrap();
         let mut kit = Telemetry::in_memory();
         let policies = [PolicyKind::Greedy, PolicyKind::ExponentialBackoff];
-        let cmp = compare(&s, &policies, &[1, 2, 3], &mut kit).unwrap();
+        let cmp = compare(&s, &policies, &[1, 2, 3], 0, &mut kit).unwrap();
         let spans = kit.spans;
         assert_eq!(cmp.outcomes().len(), 2);
         for p in policies {
@@ -854,6 +825,26 @@ mod tests {
             assert_eq!(stats.count, 3, "one span per seed for {p}");
         }
         assert_eq!(spans.stats("runner.compare").unwrap().count, 1);
+    }
+
+    #[test]
+    fn chaos_builds_each_seed_population_once_per_worker() {
+        let s = Scenario::homogeneous(Benchmark::Svm, 30, 40).unwrap();
+        let mut kit = Telemetry::in_memory();
+        let plans = standard_fault_suite(5);
+        let report = chaos(&s, &PolicyKind::ALL, &plans, &[1, 2], 1, &mut kit).unwrap();
+        assert_eq!(report.cells().len(), 24);
+        // 2 seeds × 4 policies × 7 legs (the baseline and six plans) = 56
+        // trials, run by one worker on one build per seed.
+        let trials: u64 = PolicyKind::ALL
+            .iter()
+            .map(|p| kit.spans.stats(&format!("trial.{p}")).unwrap().count)
+            .sum();
+        assert_eq!(trials, 56);
+        assert_eq!(
+            kit.registry.counter_value("runner.population_builds"),
+            Some(2)
+        );
     }
 
     #[test]
@@ -889,7 +880,15 @@ mod tests {
     #[test]
     fn chaos_matrix_validates_and_fills_cells() {
         let s = Scenario::homogeneous(Benchmark::Svm, 30, 40).unwrap();
-        assert!(chaos(&s, &[PolicyKind::Greedy], &[], &[1], &mut Telemetry::noop()).is_err());
+        assert!(chaos(
+            &s,
+            &[PolicyKind::Greedy],
+            &[],
+            &[1],
+            0,
+            &mut Telemetry::noop()
+        )
+        .is_err());
         let plans = vec![
             NamedPlan {
                 name: "clean".to_string(),
@@ -901,7 +900,7 @@ mod tests {
             },
         ];
         let policies = [PolicyKind::Greedy, PolicyKind::EquilibriumThreshold];
-        let report = chaos(&s, &policies, &plans, &[1, 2], &mut Telemetry::noop()).unwrap();
+        let report = chaos(&s, &policies, &plans, &[1, 2], 0, &mut Telemetry::noop()).unwrap();
         assert_eq!(report.plans().len(), 2);
         assert_eq!(report.baseline().len(), 2);
         assert_eq!(report.cells().len(), 4);
@@ -933,6 +932,7 @@ mod tests {
             DetectorConfig::default(),
             mix,
             &[],
+            0,
             &mut Telemetry::noop(),
         )
         .is_err());
@@ -943,6 +943,7 @@ mod tests {
             DetectorConfig::default(),
             AdversaryMix::honest(),
             &[1],
+            0,
             &mut Telemetry::noop(),
         )
         .is_err());
@@ -959,6 +960,7 @@ mod tests {
             DetectorConfig::default(),
             AdversaryMix::greedy(0.1, 11),
             &[1, 2],
+            0,
             &mut telemetry,
         )
         .unwrap();
@@ -998,6 +1000,7 @@ mod tests {
             DetectorConfig::default(),
             AdversaryMix::greedy(0.15, 3),
             &[5],
+            0,
             &mut Telemetry::noop(),
         )
         .unwrap();
@@ -1015,6 +1018,7 @@ mod tests {
             &[PolicyKind::Greedy],
             &plans,
             &[4],
+            0,
             &mut Telemetry::noop(),
         )
         .unwrap();

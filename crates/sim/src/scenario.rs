@@ -11,6 +11,7 @@ use sprint_game::multi::{AgentTypeSpec, MultiSolver};
 use sprint_game::{EquilibriumCache, GameConfig, GameError, MeanFieldSolver};
 use sprint_stats::density::DiscreteDensity;
 use sprint_workloads::generator::Population;
+use sprint_workloads::phases::PhasedUtility;
 use sprint_workloads::Benchmark;
 
 use sprint_telemetry::{Event, Telemetry};
@@ -467,11 +468,14 @@ impl Scenario {
     }
 
     /// Run one simulation of this scenario under `kind` with `seed` — the
-    /// unified entry point. Pass [`Telemetry::noop()`] for an unobserved
-    /// run; with an enabled kit the offline solve narrates through the
-    /// recorder first (residual curves for E-T), then the engine streams
-    /// per-epoch events, metrics, and spans into the same [`Telemetry`]
-    /// bundle.
+    /// unified entry point. The population build
+    /// ([`Population::spawn_streams_jobs`]) and the engine's agent kernel
+    /// ([`engine::run_jobs`]) fan out over `jobs` threads; the result is
+    /// byte-identical at every job count. Pass [`Telemetry::noop()`] for an
+    /// unobserved run; with an enabled kit the offline solve narrates
+    /// through the recorder first (residual curves for E-T), then the
+    /// engine streams per-epoch events, metrics, and spans into the same
+    /// [`Telemetry`] bundle.
     ///
     /// Telemetry never alters the simulation: the returned [`SimResult`]
     /// is bit-identical with telemetry on or off.
@@ -483,34 +487,30 @@ impl Scenario {
         &self,
         kind: PolicyKind,
         seed: u64,
+        jobs: usize,
         telemetry: &mut Telemetry,
     ) -> crate::Result<SimResult> {
-        self.execute_jobs(kind, seed, 1, telemetry)
+        let mut streams = self.population.spawn_streams_jobs(seed, jobs)?;
+        self.execute_on(&mut streams, kind, seed, jobs, telemetry)
     }
 
-    /// [`Scenario::execute`] with the population build
-    /// ([`Population::spawn_streams_jobs`]) and the engine's agent kernel
-    /// ([`engine::run_jobs`]) fanned out over `jobs` threads. The result
-    /// is byte-identical at every job count.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scenario::execute`].
-    pub fn execute_jobs(
+    /// [`Scenario::execute`] on `streams` already built for `seed`, so a
+    /// trial pool can run every policy of a seed on one build.
+    pub(crate) fn execute_on(
         &self,
+        streams: &mut [PhasedUtility],
         kind: PolicyKind,
         seed: u64,
         jobs: usize,
         telemetry: &mut Telemetry,
     ) -> crate::Result<SimResult> {
         let config = SimConfig::new(self.game, self.epochs, seed)?.with_options(self.options);
-        let mut streams = self.population.spawn_streams_jobs(seed, jobs)?;
         let solve_span = telemetry.enabled().then(|| telemetry.spans.start());
         let mut policy = self.policy(kind, seed, telemetry)?;
         if let Some(start) = solve_span {
             telemetry.spans.end("scenario.solve", start);
         }
-        engine::run_jobs(&config, &mut streams, policy.as_mut(), jobs, telemetry)
+        engine::run_jobs(&config, streams, policy.as_mut(), jobs, telemetry)
     }
 }
 
@@ -620,7 +620,7 @@ mod tests {
     fn run_produces_results_for_all_policies() {
         let s = Scenario::homogeneous(Benchmark::DecisionTree, 80, 150).unwrap();
         for kind in PolicyKind::ALL {
-            let r = s.execute(kind, 11, &mut Telemetry::noop()).unwrap();
+            let r = s.execute(kind, 11, 1, &mut Telemetry::noop()).unwrap();
             assert_eq!(r.n_agents(), 80);
             assert_eq!(r.epochs(), 150);
             assert!(r.total_tasks() > 0.0, "{kind}");
@@ -633,11 +633,16 @@ mod tests {
 
         let s = Scenario::homogeneous(Benchmark::Svm, 60, 120).unwrap();
         let plain = s
-            .execute(PolicyKind::EquilibriumThreshold, 7, &mut Telemetry::noop())
+            .execute(
+                PolicyKind::EquilibriumThreshold,
+                7,
+                1,
+                &mut Telemetry::noop(),
+            )
             .unwrap();
         let mut telemetry = Telemetry::in_memory();
         let traced = s
-            .execute(PolicyKind::EquilibriumThreshold, 7, &mut telemetry)
+            .execute(PolicyKind::EquilibriumThreshold, 7, 1, &mut telemetry)
             .unwrap();
         assert_eq!(plain, traced, "telemetry must not perturb the simulation");
 
@@ -664,7 +669,7 @@ mod tests {
     fn heterogeneous_traced_run_reports_a_coordinator_resolve() {
         let s = Scenario::heterogeneous(&[Benchmark::Svm, Benchmark::Kmeans], 40, 60).unwrap();
         let mut telemetry = Telemetry::in_memory();
-        s.execute(PolicyKind::EquilibriumThreshold, 3, &mut telemetry)
+        s.execute(PolicyKind::EquilibriumThreshold, 3, 1, &mut telemetry)
             .unwrap();
         let events = telemetry.events().unwrap();
         let resolve = events
@@ -684,10 +689,15 @@ mod tests {
         // The headline claim, at small scale: E-T outperforms G.
         let s = Scenario::homogeneous(Benchmark::DecisionTree, 150, 400).unwrap();
         let g = s
-            .execute(PolicyKind::Greedy, 13, &mut Telemetry::noop())
+            .execute(PolicyKind::Greedy, 13, 1, &mut Telemetry::noop())
             .unwrap();
         let et = s
-            .execute(PolicyKind::EquilibriumThreshold, 13, &mut Telemetry::noop())
+            .execute(
+                PolicyKind::EquilibriumThreshold,
+                13,
+                1,
+                &mut Telemetry::noop(),
+            )
             .unwrap();
         let ratio = et.tasks_per_agent_epoch() / g.tasks_per_agent_epoch();
         assert!(ratio > 2.0, "E-T/G = {ratio}");

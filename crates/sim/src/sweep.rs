@@ -5,17 +5,17 @@
 //! Algorithm 1 and re-simulating for every point. A [`SweepSpec`]
 //! declares that grid once — games × populations × fault plans ×
 //! policies × seeds — and [`run_sweep`] expands it into trials and
-//! executes them on a pool of scoped worker threads sized to the
-//! available cores.
+//! executes them on the bounded trial pool within the caller's thread
+//! budget (by default the available cores).
 //!
 //! Two properties are load-bearing:
 //!
-//! - **Byte-reproducible aggregates.** Workers pull trial indices from an
-//!   atomic counter and write results into a slot-per-trial table, so
-//!   completion order never reaches the output: the same spec serializes
-//!   to the same bytes at `--jobs 1` and `--jobs N`. Wall-clock facts
-//!   (trial durations, job count, cache counters) go to the telemetry
-//!   kit, never into the report.
+//! - **Byte-reproducible aggregates.** Pool workers take trial indices
+//!   from an atomic counter and every result lands in its trial's slot,
+//!   so completion order never reaches the output: the same spec
+//!   serializes to the same bytes at `--jobs 1` and `--jobs N`.
+//!   Wall-clock facts (trial durations, job count, cache counters) go to
+//!   the telemetry kit, never into the report.
 //! - **Solve memoization.** Every E-T trial resolves its equilibrium
 //!   through a shared [`EquilibriumCache`]: trials that vary only
 //!   simulation-side knobs (seeds, faults, policies) pay for Algorithm 1
@@ -40,21 +40,19 @@
 //! the quarantine list is ordered by trial id for every `--jobs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use sprint_game::{EquilibriumCache, GameConfig};
 use sprint_stats::summary::{confidence_interval_95, ConfidenceInterval, OnlineStats};
 use sprint_telemetry::{Event, EventRing, Recorder, RingConfig, Telemetry, WorkerHealth};
 use sprint_workloads::generator::Population;
-use sprint_workloads::phases::PhasedUtility;
 use sprint_workloads::Benchmark;
 
 use crate::engine::{self, RunOptions, SimConfig};
 use crate::metrics::SimResult;
 use crate::policies::{AdversarialPopulation, AdversaryMix};
 use crate::policy::{PolicyKind, SprintPolicy};
+use crate::pool::{self, BuiltPopulation};
 use crate::runner::NamedPlan;
 use crate::scenario::{Scenario, SolveSummary};
 use crate::SimError;
@@ -680,33 +678,15 @@ impl serde::Deserialize for SweepReport {
     }
 }
 
-/// Resolve a thread budget into `(pool workers, intra-run engine jobs)`.
-///
-/// `jobs == 0` means all available cores. The trial pool is never larger
-/// than the trial list; when the budget exceeds the trial count, the
-/// surplus is split evenly across trial workers as engine-level fan-out
-/// (each trial runs its epoch kernel on the persistent worker pool).
-/// Byte-safe at any split: engine results are jobs-invariant, so the
-/// report bytes depend on the spec alone.
-fn thread_budget(jobs: usize, trials: usize) -> (usize, usize) {
-    let budget = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        jobs
-    };
-    let pool = budget.clamp(1, trials.max(1));
-    (pool, (budget / pool).max(1))
-}
-
 /// Execute a sweep — the unified entry point.
 ///
-/// Expands `spec` into trials and runs them on `jobs` scoped worker
-/// threads (`jobs == 0` sizes the pool to the available cores). Workers
-/// pull trial indices from a shared atomic counter and publish into a
-/// slot-per-trial table, so the report is identical — byte-for-byte under
-/// serialization — for every job count. E-T solves are memoized in a
-/// sweep-wide [`EquilibriumCache`] whose hit/miss/eviction counters land
-/// in the kit's registry (`cache.equilibrium.*`), alongside
+/// Expands `spec` into trials and runs them on the bounded trial pool
+/// within a budget of `jobs` threads (`jobs == 0` means the available
+/// cores). Every result lands in its trial's slot, so the report is
+/// identical — byte-for-byte under serialization — for every job count.
+/// E-T solves are memoized in a sweep-wide [`EquilibriumCache`] whose
+/// hit/miss/eviction counters land in the kit's registry
+/// (`cache.equilibrium.*`), alongside
 /// `sweep.trials` and `sweep.jobs` (and, when the kit is enabled,
 /// `sweep.population_builds`); per-trial wall-clock durations
 /// accumulate in the kit's span profile under `sweep.trial`.
@@ -780,7 +760,7 @@ fn run_sweep_on_cache(
     let plans = spec.effective_plans();
     let adversaries = spec.effective_adversaries();
     let trials = spec.expand(&plans, &adversaries);
-    let (jobs, intra_jobs) = thread_budget(jobs, trials.len());
+    let (jobs, intra_jobs) = pool::thread_budget(jobs, trials.len());
 
     // Warm pre-pass: solve every distinct E-T cell serially, in expansion
     // order, before the worker pool starts. Each solve warm-starts from
@@ -803,108 +783,73 @@ fn run_sweep_on_cache(
         }
     }
 
-    type Slot = OnceLock<(crate::Result<SweepRecord>, u64, u32)>;
-    let slots: Vec<Slot> = (0..trials.len()).map(|_| OnceLock::new()).collect();
     // Workers take trials grouped by (population, seed), in trial order
     // within a group (the sort is stable), so a worker builds each
     // group's population once and runs the rest of the group on clones.
-    // Records still land in their trial's slot.
-    let mut order: Vec<&Trial> = trials.iter().collect();
-    order.sort_by_key(|t| (t.population, t.seed));
-    let next = AtomicUsize::new(0);
+    let mut order: Vec<usize> = (0..trials.len()).collect();
+    order.sort_by_key(|&id| (trials[id].population, trials[id].seed));
     let profile = telemetry.enabled();
 
     // Each worker emits trial lifecycle events into its own lock-free
     // ring segment — no shared sink, no contention on the hot path. The
     // ring is sized so a worker that somehow runs every trial still
     // never drops (and drops, were they to happen, are counted).
-    let mut ring = None;
-    let mut producers: Vec<Option<sprint_telemetry::RingProducer>> = Vec::new();
-    if profile {
+    let (ring, producers) = if profile {
         let capacity = trials.len().saturating_mul(2).max(16);
         let (r, p) = EventRing::with_config(jobs, &RingConfig::default().with_capacity(capacity));
-        ring = Some(r);
-        producers = p.into_iter().map(Some).collect();
+        (Some(r), p.into_iter().map(Some).collect())
     } else {
-        producers.resize_with(jobs, || None);
-    }
+        (None, (0..jobs).map(|_| None).collect::<Vec<_>>())
+    };
+    let states: Vec<_> = producers
+        .into_iter()
+        .enumerate()
+        .map(|(worker, producer)| (worker, producer, BuiltPopulation::default()))
+        .collect();
 
-    let mut worker_stats: Vec<(usize, u64, u64)> = Vec::with_capacity(jobs);
-    let mut population_builds = 0u64;
     let pool_started = std::time::Instant::now();
-    let panicked = std::thread::scope(|scope| {
-        let slots = &slots;
-        let next = &next;
-        let order = &order;
-        let plans = &plans;
-        let adversaries = &adversaries;
-        let supervision = &supervision;
-        let handles: Vec<_> = producers
-            .drain(..)
-            .enumerate()
-            .map(|(worker, mut producer)| {
-                scope.spawn(move || {
-                    let mut done = 0u64;
-                    let mut busy = 0u64;
-                    let mut built = BuiltPopulation::default();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&trial) = order.get(k) else { break };
-                        if let Some(p) = producer.as_mut() {
-                            p.record(&Event::TrialStarted {
-                                trial: trial.id,
-                                worker,
-                            });
-                        }
-                        let started = std::time::Instant::now();
-                        let (record, attempts) = run_trial_supervised(
-                            spec,
-                            plans,
-                            adversaries,
-                            trial,
-                            cache,
-                            warm,
-                            supervision,
-                            intra_jobs,
-                            &mut built,
-                        );
-                        let nanos = started.elapsed().as_nanos() as u64;
-                        done += 1;
-                        busy += nanos;
-                        if let Some(p) = producer.as_mut() {
-                            p.record(&Event::TrialFinished {
-                                trial: trial.id,
-                                worker,
-                                attempts,
-                                quarantined: record.is_err(),
-                            });
-                        }
-                        // First write wins; a slot is only ever written
-                        // once because trial ids are unique.
-                        let _ = slots[trial.id].set((record, nanos, attempts));
-                    }
-                    (done, busy, built.builds)
-                })
-            })
-            .collect();
-        let mut any_panicked = false;
-        for handle in handles {
-            match handle.join() {
-                Ok((done, busy, builds)) => {
-                    worker_stats.push((worker_stats.len(), done, busy));
-                    population_builds += builds;
-                }
-                Err(_) => any_panicked = true,
+    let drained = pool::run(
+        states,
+        &order,
+        "sweep trial",
+        |(worker, producer, built), id| {
+            let trial = &trials[id];
+            if let Some(p) = producer.as_mut() {
+                p.record(&Event::TrialStarted {
+                    trial: id,
+                    worker: *worker,
+                });
             }
-        }
-        any_panicked
-    });
+            let (record, attempts) = run_trial_supervised(
+                spec,
+                &plans,
+                &adversaries,
+                trial,
+                cache,
+                warm,
+                &supervision,
+                intra_jobs,
+                built,
+            );
+            if let Some(p) = producer.as_mut() {
+                p.record(&Event::TrialFinished {
+                    trial: id,
+                    worker: *worker,
+                    attempts,
+                    quarantined: record.is_err(),
+                });
+            }
+            Ok((record, attempts))
+        },
+    );
     let pool_nanos = pool_started.elapsed().as_nanos() as u64;
-    if panicked {
-        return Err(SimError::WorkerPanicked {
-            what: "sweep trial",
-        });
-    }
+    // Trials catch their own panics; a pool-level failure means a worker
+    // died outside a supervised trial.
+    let outcomes = drained
+        .results
+        .into_iter()
+        .map(|(outcome, nanos)| outcome.map(|(record, attempts)| (record, nanos, attempts)))
+        .collect::<crate::Result<Vec<_>>>()?;
     // A fired cancel/deadline token fails the sweep outright: partial
     // results from an abandoned sweep must not masquerade as a report
     // whose trials all happened to quarantine.
@@ -915,13 +860,14 @@ fn run_sweep_on_cache(
     // Per-worker utilization/timing ride on the report as diagnostics
     // (excluded from canonical serialization and equality), and feed the
     // span path table so flamegraphs show the pool split.
-    let workers: Vec<WorkerHealth> = worker_stats
+    let workers: Vec<WorkerHealth> = drained
+        .workers
         .iter()
-        .map(|&(worker, done, busy)| WorkerHealth {
-            worker,
-            trials: done,
-            busy_nanos: busy,
-            utilization: busy as f64 / pool_nanos.max(1) as f64,
+        .map(|w| WorkerHealth {
+            worker: w.state.0,
+            trials: w.trials,
+            busy_nanos: w.busy_nanos,
+            utilization: w.busy_nanos as f64 / pool_nanos.max(1) as f64,
         })
         .collect();
     if profile {
@@ -953,8 +899,7 @@ fn run_sweep_on_cache(
     let mut records = Vec::with_capacity(trials.len());
     let mut quarantined = Vec::new();
     let mut retried = 0u64;
-    for (trial, slot) in trials.iter().zip(slots) {
-        let (record, nanos, attempts) = slot.into_inner().expect("every trial slot is filled");
+    for (trial, (record, nanos, attempts)) in trials.iter().zip(outcomes) {
         if profile {
             telemetry.spans.record_nanos("sweep.trial", nanos);
         }
@@ -988,8 +933,9 @@ fn run_sweep_on_cache(
     let g = telemetry.registry.gauge("sweep.intra_jobs");
     telemetry.registry.set(g, intra_jobs as f64);
     if profile {
+        let builds = drained.workers.iter().map(|w| w.state.2.builds).sum();
         let c = telemetry.registry.counter("sweep.population_builds");
-        telemetry.registry.inc(c, population_builds);
+        telemetry.registry.inc(c, builds);
     }
 
     Ok(SweepReport {
@@ -1084,42 +1030,6 @@ fn run_trial_supervised(
     (Err(last), attempts_allowed)
 }
 
-/// A sweep worker's most recent population build: the streams of one
-/// (population, seed) pair exactly as spawned, never run. Every trial of
-/// the pair — and every retry — runs on a clone, so it sees the same
-/// streams a fresh build would give it.
-#[derive(Default)]
-struct BuiltPopulation {
-    /// `(population index, seed)` of `streams`; `None` before the first
-    /// build or after a build that failed.
-    key: Option<(usize, u64)>,
-    streams: Vec<PhasedUtility>,
-    /// Populations this worker has built.
-    builds: u64,
-}
-
-impl BuiltPopulation {
-    /// Fresh streams for `trial`, built only when its (population, seed)
-    /// pair differs from the last one.
-    fn streams(
-        &mut self,
-        trial: &Trial,
-        population: &Population,
-        jobs: usize,
-    ) -> crate::Result<Vec<PhasedUtility>> {
-        let key = (trial.population, trial.seed);
-        if self.key != Some(key) {
-            // Release the previous pair's streams before building.
-            self.key = None;
-            self.streams = Vec::new();
-            self.streams = population.spawn_streams_jobs(trial.seed, jobs)?;
-            self.builds += 1;
-            self.key = Some(key);
-        }
-        Ok(self.streams.clone())
-    }
-}
-
 /// Solve one cell's equilibrium into the sweep cache ahead of the worker
 /// pool (E-T only; the solve key ignores the seed).
 fn presolve_cell(
@@ -1185,7 +1095,12 @@ fn run_trial(
         )?);
     }
     let config = SimConfig::new(game, spec.epochs, trial.seed)?.with_options(*scenario.options());
-    let mut streams = built.streams(trial, scenario.population(), intra_jobs)?;
+    let mut streams = built.streams(
+        trial.population,
+        scenario.population(),
+        trial.seed,
+        intra_jobs,
+    )?;
     let result = engine::run_guarded(
         &config,
         &mut streams,

@@ -203,6 +203,7 @@ fn defense_reports_are_deterministic() {
             DetectorConfig::default(),
             greedy(0.1),
             &seeds,
+            0,
             &mut Telemetry::noop(),
         )
         .unwrap()
@@ -280,6 +281,7 @@ fn adversary_defense_suite_smoke() {
         DetectorConfig::default(),
         greedy(0.1),
         &seeds,
+        0,
         &mut Telemetry::noop(),
     )
     .unwrap();
@@ -301,6 +303,7 @@ fn acceptance_adversary_defense_500_trials() {
         DetectorConfig::default(),
         greedy(0.1),
         &seeds,
+        0,
         &mut Telemetry::noop(),
     )
     .unwrap();

@@ -24,7 +24,9 @@ fn all_policies_survive_composite_faults_at_rack_scale() {
         .with_faults(FaultPlan::composite(42));
     let mut tasks = Vec::new();
     for kind in PolicyKind::ALL {
-        let r = scenario.execute(kind, 11, &mut Telemetry::noop()).unwrap();
+        let r = scenario
+            .execute(kind, 11, 1, &mut Telemetry::noop())
+            .unwrap();
         assert!(
             r.tasks_per_agent_epoch() > 0.0,
             "{kind} must still make progress under composite faults"
@@ -52,8 +54,12 @@ fn faulted_runs_are_bit_reproducible() {
         .unwrap()
         .with_faults(FaultPlan::composite(7));
     for kind in PolicyKind::ALL {
-        let a = scenario.execute(kind, 99, &mut Telemetry::noop()).unwrap();
-        let b = scenario.execute(kind, 99, &mut Telemetry::noop()).unwrap();
+        let a = scenario
+            .execute(kind, 99, 1, &mut Telemetry::noop())
+            .unwrap();
+        let b = scenario
+            .execute(kind, 99, 1, &mut Telemetry::noop())
+            .unwrap();
         assert_eq!(a, b, "{kind} must be deterministic under faults");
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
@@ -74,9 +80,9 @@ fn inactive_plan_is_rng_neutral() {
         ..FaultPlan::none()
     });
     for kind in PolicyKind::ALL {
-        let clean = base.execute(kind, 77, &mut Telemetry::noop()).unwrap();
+        let clean = base.execute(kind, 77, 1, &mut Telemetry::noop()).unwrap();
         let empty = with_empty_plan
-            .execute(kind, 77, &mut Telemetry::noop())
+            .execute(kind, 77, 1, &mut Telemetry::noop())
             .unwrap();
         assert_eq!(clean, empty, "{kind}: empty plan must not perturb the run");
         assert!(empty.faults().is_clean());
@@ -102,7 +108,7 @@ fn occupancy_accounts_for_crashed_agents() {
         .unwrap()
         .with_faults(plan);
     let r = scenario
-        .execute(PolicyKind::Greedy, 5, &mut Telemetry::noop())
+        .execute(PolicyKind::Greedy, 5, 1, &mut Telemetry::noop())
         .unwrap();
     let f = r.faults();
     assert!(f.crashes > 0, "crash churn must actually crash agents");
@@ -128,7 +134,7 @@ fn per_fault_counters_record_each_class() {
             }),
             ..FaultPlan::none()
         })
-        .execute(PolicyKind::Greedy, 4, &mut Telemetry::noop())
+        .execute(PolicyKind::Greedy, 4, 1, &mut Telemetry::noop())
         .unwrap();
     assert!(
         stuck.faults().stuck_epochs > 0,
@@ -145,7 +151,7 @@ fn per_fault_counters_record_each_class() {
             }),
             ..FaultPlan::none()
         })
-        .execute(PolicyKind::Greedy, 4, &mut Telemetry::noop())
+        .execute(PolicyKind::Greedy, 4, 1, &mut Telemetry::noop())
         .unwrap();
     assert!(
         sensor.faults().sensor_dropouts > 0,
@@ -163,7 +169,12 @@ fn per_fault_counters_record_each_class() {
             breaker_drift: Some(BreakerDrift { band_shift: -0.5 }),
             ..FaultPlan::none()
         })
-        .execute(PolicyKind::EquilibriumThreshold, 4, &mut Telemetry::noop())
+        .execute(
+            PolicyKind::EquilibriumThreshold,
+            4,
+            1,
+            &mut Telemetry::noop(),
+        )
         .unwrap();
     assert!(
         drift.faults().spurious_trips > 0,
@@ -184,10 +195,20 @@ fn stale_coordinator_shifts_the_equilibrium() {
         ..FaultPlan::none()
     });
     let fresh_run = base
-        .execute(PolicyKind::EquilibriumThreshold, 9, &mut Telemetry::noop())
+        .execute(
+            PolicyKind::EquilibriumThreshold,
+            9,
+            1,
+            &mut Telemetry::noop(),
+        )
         .unwrap();
     let stale_run = stale
-        .execute(PolicyKind::EquilibriumThreshold, 9, &mut Telemetry::noop())
+        .execute(
+            PolicyKind::EquilibriumThreshold,
+            9,
+            1,
+            &mut Telemetry::noop(),
+        )
         .unwrap();
     assert_ne!(
         fresh_run.sprinters_per_epoch(),
@@ -226,7 +247,12 @@ fn stale_coordinator_solves_heterogeneous_populations() {
         assert_eq!(policy.thresholds(), cached.thresholds());
         assert!(summary.converged, "factor {factor}");
         let run = stale
-            .execute(PolicyKind::EquilibriumThreshold, 9, &mut Telemetry::noop())
+            .execute(
+                PolicyKind::EquilibriumThreshold,
+                9,
+                1,
+                &mut Telemetry::noop(),
+            )
             .unwrap();
         assert!(run.tasks_per_agent_epoch() > 0.0, "factor {factor}");
     }

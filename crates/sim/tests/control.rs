@@ -223,6 +223,7 @@ fn resilience_suite_smoke() {
         FaultPlan::partition_chaos(13, 200, 3),
         acceptance_control(),
         &seeds,
+        0,
         &mut Telemetry::noop(),
     )
     .unwrap();
@@ -241,6 +242,7 @@ fn acceptance_partition_chaos_500_trials() {
         FaultPlan::partition_chaos(13, 4_000, 3),
         acceptance_control(),
         &seeds,
+        0,
         &mut Telemetry::noop(),
     )
     .unwrap();

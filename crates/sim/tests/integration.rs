@@ -12,8 +12,12 @@ use sprint_workloads::Benchmark;
 fn runs_are_bit_reproducible_across_invocations() {
     let scenario = Scenario::homogeneous(Benchmark::Svm, 120, 300).unwrap();
     for kind in PolicyKind::ALL {
-        let a = scenario.execute(kind, 77, &mut Telemetry::noop()).unwrap();
-        let b = scenario.execute(kind, 77, &mut Telemetry::noop()).unwrap();
+        let a = scenario
+            .execute(kind, 77, 1, &mut Telemetry::noop())
+            .unwrap();
+        let b = scenario
+            .execute(kind, 77, 1, &mut Telemetry::noop())
+            .unwrap();
         assert_eq!(a, b, "{kind} must be deterministic under a fixed seed");
     }
 }
@@ -24,10 +28,20 @@ fn different_seeds_produce_different_dynamics() {
     // geometric recovery) do not dominate seed-to-seed throughput.
     let scenario = Scenario::homogeneous(Benchmark::Svm, 400, 800).unwrap();
     let a = scenario
-        .execute(PolicyKind::EquilibriumThreshold, 1, &mut Telemetry::noop())
+        .execute(
+            PolicyKind::EquilibriumThreshold,
+            1,
+            1,
+            &mut Telemetry::noop(),
+        )
         .unwrap();
     let b = scenario
-        .execute(PolicyKind::EquilibriumThreshold, 2, &mut Telemetry::noop())
+        .execute(
+            PolicyKind::EquilibriumThreshold,
+            2,
+            1,
+            &mut Telemetry::noop(),
+        )
         .unwrap();
     assert_ne!(a.sprinters_per_epoch(), b.sprinters_per_epoch());
     // But aggregate throughput is stable across seeds (stationarity).
@@ -42,7 +56,12 @@ fn equilibrium_sprinter_series_is_stationary() {
     // quarters; their means must agree within a few percent.
     let scenario = Scenario::homogeneous(Benchmark::DecisionTree, 400, 800).unwrap();
     let r = scenario
-        .execute(PolicyKind::EquilibriumThreshold, 5, &mut Telemetry::noop())
+        .execute(
+            PolicyKind::EquilibriumThreshold,
+            5,
+            1,
+            &mut Telemetry::noop(),
+        )
         .unwrap();
     let series: Vec<f64> = r
         .sprinters_per_epoch()
@@ -70,7 +89,7 @@ fn backoff_stabilizes_after_initial_trips() {
     // trip much less than the first.
     let scenario = Scenario::homogeneous(Benchmark::DecisionTree, 300, 1000).unwrap();
     let r = scenario
-        .execute(PolicyKind::ExponentialBackoff, 7, &mut Telemetry::noop())
+        .execute(PolicyKind::ExponentialBackoff, 7, 1, &mut Telemetry::noop())
         .unwrap();
     let series = r.sprinters_per_epoch();
     // Count epochs at the rack ceiling (everyone sprinting = the greedy
@@ -89,8 +108,22 @@ fn comparison_is_deterministic_despite_parallelism() {
     // The parallel runner must produce identical aggregates regardless of
     // thread scheduling.
     let scenario = Scenario::homogeneous(Benchmark::Kmeans, 80, 200).unwrap();
-    let a = compare(&scenario, &PolicyKind::ALL, &[3, 4], &mut Telemetry::noop()).unwrap();
-    let b = compare(&scenario, &PolicyKind::ALL, &[3, 4], &mut Telemetry::noop()).unwrap();
+    let a = compare(
+        &scenario,
+        &PolicyKind::ALL,
+        &[3, 4],
+        0,
+        &mut Telemetry::noop(),
+    )
+    .unwrap();
+    let b = compare(
+        &scenario,
+        &PolicyKind::ALL,
+        &[3, 4],
+        0,
+        &mut Telemetry::noop(),
+    )
+    .unwrap();
     assert_eq!(a, b);
 }
 
@@ -101,10 +134,15 @@ fn longer_horizons_do_not_change_the_verdict() {
     let long = Scenario::homogeneous(Benchmark::PageRank, 150, 1600).unwrap();
     for scenario in [short, long] {
         let g = scenario
-            .execute(PolicyKind::Greedy, 9, &mut Telemetry::noop())
+            .execute(PolicyKind::Greedy, 9, 1, &mut Telemetry::noop())
             .unwrap();
         let et = scenario
-            .execute(PolicyKind::EquilibriumThreshold, 9, &mut Telemetry::noop())
+            .execute(
+                PolicyKind::EquilibriumThreshold,
+                9,
+                1,
+                &mut Telemetry::noop(),
+            )
             .unwrap();
         assert!(
             et.tasks_per_agent_epoch() > 2.0 * g.tasks_per_agent_epoch(),

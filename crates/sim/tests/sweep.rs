@@ -74,7 +74,7 @@ fn sweep_records_match_unified_single_runs() {
     assert_eq!(record.policy, PolicyKind::Greedy);
     let scenario = Scenario::homogeneous(Benchmark::Svm, 50, spec.epochs).unwrap();
     let single = scenario
-        .execute(PolicyKind::Greedy, record.seed, &mut Telemetry::noop())
+        .execute(PolicyKind::Greedy, record.seed, 1, &mut Telemetry::noop())
         .unwrap();
     assert_eq!(
         record.tasks_per_agent_epoch,
@@ -182,7 +182,7 @@ fn reused_streams_match_a_fresh_build() {
             ..RunOptions::default()
         });
     let single = scenario
-        .execute(PolicyKind::Greedy, 4, &mut Telemetry::noop())
+        .execute(PolicyKind::Greedy, 4, 1, &mut Telemetry::noop())
         .unwrap();
     assert_eq!(record.tasks_per_agent_epoch, single.tasks_per_agent_epoch());
     assert_eq!(record.trips, single.trips());

@@ -35,7 +35,7 @@ fn trace_jsonl(scenario: &Scenario, kind: PolicyKind, seed: u64) -> Vec<u8> {
     let buf = SharedBuf::default();
     let writer = JsonlWriter::new(buf.clone());
     let mut telemetry = Telemetry::new(Box::new(writer), SpanProfile::deterministic());
-    scenario.execute(kind, seed, &mut telemetry).unwrap();
+    scenario.execute(kind, seed, 1, &mut telemetry).unwrap();
     buf.contents()
 }
 
@@ -64,9 +64,11 @@ fn enabled_telemetry_never_perturbs_the_simulation() {
         .unwrap()
         .with_faults(sprint_sim::faults::FaultPlan::composite(7));
     for kind in PolicyKind::ALL {
-        let plain = scenario.execute(kind, 19, &mut Telemetry::noop()).unwrap();
+        let plain = scenario
+            .execute(kind, 19, 1, &mut Telemetry::noop())
+            .unwrap();
         let mut telemetry = Telemetry::in_memory();
-        let traced = scenario.execute(kind, 19, &mut telemetry).unwrap();
+        let traced = scenario.execute(kind, 19, 1, &mut telemetry).unwrap();
         assert_eq!(plain, traced, "{kind} result must be bit-identical");
         assert!(telemetry.events().unwrap().len() > 250, "{kind}");
     }
@@ -78,7 +80,7 @@ fn trace_has_expected_shape() {
     let scenario = Scenario::homogeneous(Benchmark::Kmeans, 50, epochs).unwrap();
     let mut telemetry = Telemetry::in_memory();
     scenario
-        .execute(PolicyKind::Greedy, 5, &mut telemetry)
+        .execute(PolicyKind::Greedy, 5, 1, &mut telemetry)
         .unwrap();
     let events = telemetry.events().unwrap();
     assert_eq!(events.first().map(Event::kind), Some(EventKind::RunStart));
@@ -115,7 +117,7 @@ fn decision_firehose_is_opt_in_by_recorder_filter() {
     let recorder = sprint_sim::telemetry::InMemory::new().without(EventKind::SprintDecision);
     let mut telemetry = Telemetry::new(Box::new(recorder), SpanProfile::deterministic());
     scenario
-        .execute(PolicyKind::Greedy, 9, &mut telemetry)
+        .execute(PolicyKind::Greedy, 9, 1, &mut telemetry)
         .unwrap();
     let events = telemetry.events().unwrap();
     assert!(events.iter().all(|e| e.kind() != EventKind::SprintDecision));
@@ -131,7 +133,7 @@ fn ring_backed_engine_stream_is_jobs_invariant() {
         let producer = producers.pop().unwrap();
         let mut kit = Telemetry::new(Box::new(producer), SpanProfile::deterministic());
         scenario
-            .execute_jobs(PolicyKind::Greedy, 11, jobs, &mut kit)
+            .execute(PolicyKind::Greedy, 11, jobs, &mut kit)
             .unwrap();
         assert_eq!(ring.dropped(), 0, "default capacity must not drop");
         ring.drain()

@@ -53,9 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Online: simulate the mix under the assigned strategies vs Greedy.
     let scenario = Scenario::heterogeneous(&mix, 1000, 500)?;
-    let greedy = scenario.execute(PolicyKind::Greedy, 42, &mut Telemetry::noop())?;
-    let equilibrium =
-        scenario.execute(PolicyKind::EquilibriumThreshold, 42, &mut Telemetry::noop())?;
+    let greedy = scenario.execute(PolicyKind::Greedy, 42, 1, &mut Telemetry::noop())?;
+    let equilibrium = scenario.execute(
+        PolicyKind::EquilibriumThreshold,
+        42,
+        1,
+        &mut Telemetry::noop(),
+    )?;
     println!(
         "\nsimulated throughput: greedy {:.3}, equilibrium {:.3} ({:.1}x better), \
          trips {} vs {}",

@@ -28,6 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &scenario,
         &PolicyKind::ALL,
         &[1, 2, 3],
+        0,
         &mut Telemetry::noop(),
     )?;
 

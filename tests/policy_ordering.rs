@@ -12,7 +12,14 @@ fn equilibrium_beats_heuristics_for_diverse_profiles() {
     // §6.2: E-T outperforms G and E-B; E-T is competitive with C-T.
     for benchmark in [Benchmark::DecisionTree, Benchmark::PageRank] {
         let scenario = Scenario::homogeneous(benchmark, 300, 500).unwrap();
-        let cmp = compare(&scenario, &PolicyKind::ALL, &[5, 6], &mut Telemetry::noop()).unwrap();
+        let cmp = compare(
+            &scenario,
+            &PolicyKind::ALL,
+            &[5, 6],
+            0,
+            &mut Telemetry::noop(),
+        )
+        .unwrap();
         let tp = |k: PolicyKind| cmp.outcome(k).unwrap().tasks_per_agent_epoch;
         let (g, eb, et, ct) = (
             tp(PolicyKind::Greedy),
@@ -44,6 +51,7 @@ fn narrow_profiles_degenerate_to_greedy() {
                 PolicyKind::CooperativeThreshold,
             ],
             &[7],
+            0,
             &mut Telemetry::noop(),
         )
         .unwrap();
@@ -72,10 +80,15 @@ fn equilibrium_policy_rarely_trips() {
     // entirely while greedy oscillates through them.
     let scenario = Scenario::homogeneous(Benchmark::Svm, 400, 600).unwrap();
     let greedy = scenario
-        .execute(PolicyKind::Greedy, 9, &mut Telemetry::noop())
+        .execute(PolicyKind::Greedy, 9, 1, &mut Telemetry::noop())
         .unwrap();
     let et = scenario
-        .execute(PolicyKind::EquilibriumThreshold, 9, &mut Telemetry::noop())
+        .execute(
+            PolicyKind::EquilibriumThreshold,
+            9,
+            1,
+            &mut Telemetry::noop(),
+        )
         .unwrap();
     assert!(greedy.trips() > 20);
     assert!(et.trips() <= 3, "E-T trips = {}", et.trips());
@@ -103,6 +116,7 @@ fn heterogeneous_mixes_preserve_the_ordering() {
             PolicyKind::EquilibriumThreshold,
         ],
         &[11, 12],
+        0,
         &mut Telemetry::noop(),
     )
     .unwrap();
