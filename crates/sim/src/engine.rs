@@ -203,13 +203,21 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] when `epochs` is 0.
+    /// Returns [`SimError::InvalidParameter`] when `epochs` is 0 or above
+    /// `u32::MAX`.
     pub fn new(game: GameConfig, epochs: usize, seed: u64) -> crate::Result<Self> {
         if epochs == 0 {
             return Err(SimError::InvalidParameter {
                 name: "epochs",
                 value: 0.0,
                 expected: "at least one epoch",
+            });
+        }
+        if epochs as u64 > u64::from(MAX_EPOCHS) {
+            return Err(SimError::InvalidParameter {
+                name: "epochs",
+                value: epochs as f64,
+                expected: "at most 4294967295 epochs (u32::MAX)",
             });
         }
         Ok(SimConfig {
@@ -499,6 +507,19 @@ impl EngineIds {
 /// identical at every `jobs` value.
 pub const DEFAULT_CHUNK: usize = 1024;
 
+/// The longest horizon [`SimConfig::new`] accepts. The engine keeps its
+/// per-agent epoch marks (next phase change, sprint block, cooling exit)
+/// in `u32` lanes and saturates every store at `u32::MAX`; since no
+/// epoch index of an accepted run reaches that value, a saturated mark
+/// behaves exactly like the unsaturated one: it never fires.
+const MAX_EPOCHS: u32 = u32::MAX;
+
+/// Agents per event-buffer block. The kernel passes first collect the
+/// indices of one block's event agents (phase changes, sprinters) into a
+/// stack buffer of this many entries, then process them in a dense loop;
+/// a chunk wider than a block runs block by block.
+const EVENT_BLOCK: usize = 1024;
+
 /// The rack-level "agent" coordinate for draws that are not per-agent
 /// (breaker trip, sensor noise, recovery exit). Real agent indices are
 /// always far below this sentinel.
@@ -657,6 +678,16 @@ fn geometric_gap(u: f64, scale: f64) -> u64 {
     1 + ((1.0 - u).ln() * scale) as u64
 }
 
+/// The epoch `gap` epochs after `epoch`, saturated at `u32::MAX` for an
+/// epoch lane. [`SimConfig::new`] keeps every epoch index of a run below
+/// `u32::MAX`, so a saturated mark compares exactly like the exact one.
+#[inline]
+fn epoch_after(epoch: u32, gap: u64) -> u32 {
+    u64::from(epoch)
+        .saturating_add(gap)
+        .min(u64::from(MAX_EPOCHS)) as u32
+}
+
 /// Reserved epoch coordinate for setup-time phase draws; run epochs are
 /// array indices and can never reach it.
 const PHASE_SETUP_EPOCH: u64 = u64::MAX;
@@ -666,15 +697,16 @@ const PHASE_SETUP_EPOCH: u64 = u64::MAX;
 struct Lanes {
     /// Current phase value per agent — the utility each epoch emits.
     phase: Vec<f64>,
-    /// Epoch at which each agent's phase resamples next.
-    next_change: Vec<u64>,
+    /// Epoch at which each agent's phase resamples next. The three epoch
+    /// lanes are `u32`, saturated by [`epoch_after`].
+    next_change: Vec<u32>,
     states: Vec<AgentState>,
     /// Epoch index before which a freshly woken agent may not sprint.
-    blocked_until: Vec<usize>,
+    blocked_until: Vec<u32>,
     /// First epoch at which a cooling agent may return to Active, drawn
     /// once when the sprint begins (geometric inversion — same law as a
     /// per-epoch exit draw, but parked agents cost one compare).
-    cool_until: Vec<u64>,
+    cool_until: Vec<u32>,
     /// Fault overlay: agents currently down.
     crashed: Vec<bool>,
     /// Fault overlay: power gates stuck in the sprint position.
@@ -725,10 +757,10 @@ impl Lanes {
 /// how disjoint spans fan out to workers.
 struct LaneView<'a> {
     phase: &'a mut [f64],
-    next_change: &'a mut [u64],
+    next_change: &'a mut [u32],
     states: &'a mut [AgentState],
-    blocked_until: &'a mut [usize],
-    cool_until: &'a mut [u64],
+    blocked_until: &'a mut [u32],
+    cool_until: &'a mut [u32],
     crashed: &'a mut [bool],
     stuck: &'a mut [bool],
     sprinted: &'a mut [bool],
@@ -815,7 +847,8 @@ enum KernelMode {
 
 /// Everything a kernel pass reads, shared immutably across workers.
 struct EpochCtx<'a> {
-    epoch: usize,
+    /// The epoch index (below `u32::MAX` by [`SimConfig::new`]'s bound).
+    epoch: u32,
     plan: &'a FaultPlan,
     draws: &'a Draws,
     /// Phase-process constants, indexed by *global* agent id.
@@ -831,37 +864,56 @@ struct EpochCtx<'a> {
     chunk: usize,
 }
 
-/// Advance one agent's wall-clock processes: utility stream and crash
-/// churn. Returns (is down this epoch, churn flag).
+/// Pass A, shared by both kernels: advance the phase processes of lanes
+/// `lo..hi` (lane `i` is agent `base + i`).
+///
+/// Phases run in geometric-jump form: each resample schedules the *next*
+/// resample epoch, and phases advance in wall-clock time regardless of
+/// power state, exactly like the sequential streams. About a third of
+/// the agents change phase in an epoch, so a per-agent `epoch ==
+/// next_change` branch would be a coin flip for the predictor. Instead,
+/// each block of lanes first writes its event offsets into a stack buffer
+/// without branching (the write cursor advances only past an event), and
+/// a dense loop then resamples just those agents: one counter word (keyed
+/// by the stream's own seed) splits into the alias-table bin and in-bin
+/// position draws, and a second turns into the next geometric gap.
 #[inline]
-fn advance_agent(ctx: &EpochCtx<'_>, agent: u64, i: usize, v: &mut LaneView<'_>) -> (bool, u8) {
-    // Phase process, geometric-jump form: each resample schedules the
-    // *next* resample epoch, so the common path is one load and compare.
-    // At a change epoch, one counter word (keyed by the stream's own
-    // seed) splits into the alias-table bin and in-bin position draws,
-    // and a second turns into the next geometric gap. Phases advance in
-    // wall-clock time regardless of power state, exactly like the
-    // sequential streams.
-    let a = agent as usize;
-    let epoch = ctx.epoch as u64;
-    if epoch == v.next_change[i] {
-        let key = ctx.phases.keys[a];
-        v.phase[i] = ctx.phases.sample(a, key.word(epoch, 0));
-        v.next_change[i] = epoch + ctx.phases.gap(a, key.uniform(epoch, 1));
+fn advance_phases(ctx: &EpochCtx<'_>, base: usize, v: &mut LaneView<'_>, lo: usize, hi: usize) {
+    let epoch = u64::from(ctx.epoch);
+    let mut events = [0u32; EVENT_BLOCK];
+    for start in (lo..hi).step_by(EVENT_BLOCK) {
+        let end = (start + EVENT_BLOCK).min(hi);
+        let mut m = 0;
+        for (k, &next) in v.next_change[start..end].iter().enumerate() {
+            events[m] = k as u32;
+            m += usize::from(next == ctx.epoch);
+        }
+        for &k in &events[..m] {
+            let i = start + k as usize;
+            let a = base + i;
+            let key = ctx.phases.keys[a];
+            v.phase[i] = ctx.phases.sample(a, key.word(epoch, 0));
+            v.next_change[i] = epoch_after(ctx.epoch, ctx.phases.gap(a, key.uniform(epoch, 1)));
+        }
     }
+}
+
+/// Advance one agent's crash churn, which like its phase process runs in
+/// wall-clock time. Returns (is down this epoch, churn flag).
+#[inline]
+fn churn_agent(ctx: &EpochCtx<'_>, agent: u64, i: usize, v: &mut LaneView<'_>) -> (bool, u8) {
     let mut flag = 0u8;
-    // Crash churn progresses in wall-clock time too: agents go down and
-    // come back regardless of the rack's power state. A restart is a cold
-    // start — the agent re-acquires its threshold from the coordinator
-    // before it may sprint again.
+    // Agents go down and come back regardless of the rack's power state.
+    // A restart is a cold start — the agent re-acquires its threshold
+    // from the coordinator before it may sprint again.
     if let Some(c) = ctx.plan.crash {
-        let epoch = ctx.epoch as u64;
+        let epoch = u64::from(ctx.epoch);
         if v.crashed[i] {
             if ctx.draws.crash.uniform(agent, epoch, 0) >= c.p_restart_stay {
                 v.crashed[i] = false;
                 flag = 2;
                 v.blocked_until[i] =
-                    (ctx.epoch + c.reacquire_epochs as usize).max(v.blocked_until[i]);
+                    epoch_after(ctx.epoch, u64::from(c.reacquire_epochs)).max(v.blocked_until[i]);
                 v.states[i] = if ctx.rack_recovering {
                     AgentState::Recovery
                 } else {
@@ -881,17 +933,19 @@ fn advance_agent(ctx: &EpochCtx<'_>, agent: u64, i: usize, v: &mut LaneView<'_>)
 
 /// The streamlined fused kernel for the common case: oracle estimation,
 /// no crash or stuck faults, rack powered. The per-agent work of
-/// [`run_chunk`] is split into three passes over the SoA lanes so the
-/// decide pass is branch-free and auto-vectorizable:
+/// [`run_chunk`] is split into three passes over the SoA lanes, none of
+/// which branches on agent data:
 ///
-/// - **A** — phase advance (rare resample, one compare per agent);
+/// - **A** — phase advance ([`advance_phases`], shared with
+///   [`run_chunk`]);
 /// - **B** — decide: `sprinted[i] = active & unblocked & over-threshold`,
 ///   straight-line boolean arithmetic over the `states`, `blocked_until`,
 ///   and `phase` lanes with the decider match hoisted out of the loop;
-/// - **C** — accumulate throughput/occupancy and apply transitions in the
-///   same per-agent order as the fused path, so every float lands in the
-///   accumulator in the identical sequence and every counter draw uses
-///   the identical coordinates — the restructure is bitwise invisible.
+/// - **C** — accumulate throughput/occupancy and pick each next state
+///   with selects, then draw the sprinters' cooling exits in a dense
+///   loop. Every float lands in the accumulator in the fused path's
+///   per-agent order and every counter draw uses the fused path's
+///   coordinates, so the restructure is bitwise invisible.
 fn run_chunk_streamlined(
     ctx: &EpochCtx<'_>,
     decider: &StaticDecider,
@@ -900,19 +954,12 @@ fn run_chunk_streamlined(
     lo: usize,
     hi: usize,
 ) -> ChunkStats {
+    use std::hint::select_unpredictable;
     let mut st = ChunkStats::default();
-    let epoch = ctx.epoch as u64;
+    let epoch = ctx.epoch;
     // Pass A: phase processes (wall-clock time, independent of power
-    // state). Resampling is rare — mean phase lengths are the benchmark
-    // persistences — so the loop body is usually one load and compare.
-    for i in lo..hi {
-        if epoch == v.next_change[i] {
-            let a = base + i;
-            let key = ctx.phases.keys[a];
-            v.phase[i] = ctx.phases.sample(a, key.word(epoch, 0));
-            v.next_change[i] = epoch + ctx.phases.gap(a, key.uniform(epoch, 1));
-        }
-    }
+    // state).
+    advance_phases(ctx, base, v, lo, hi);
     // Pass B: branch-free decide. Non-active agents never sprint, so
     // writing the conjunction unconditionally also clears the lane for
     // cooling/recovery agents exactly as the fused path does.
@@ -920,7 +967,7 @@ fn run_chunk_streamlined(
         StaticDecider::AlwaysSprint => {
             for i in lo..hi {
                 v.sprinted[i] =
-                    matches!(v.states[i], AgentState::Active) & (ctx.epoch >= v.blocked_until[i]);
+                    matches!(v.states[i], AgentState::Active) & (epoch >= v.blocked_until[i]);
             }
         }
         StaticDecider::PerAgent(thresholds) => {
@@ -929,44 +976,56 @@ fn run_chunk_streamlined(
             let t = &thresholds[base + lo..base + hi];
             for (k, i) in (lo..hi).enumerate() {
                 v.sprinted[i] = matches!(v.states[i], AgentState::Active)
-                    & (ctx.epoch >= v.blocked_until[i])
+                    & (epoch >= v.blocked_until[i])
                     & (v.phase[i] > t[k]);
             }
         }
     }
     // Pass C: throughput, occupancy, and speculative transitions, one
-    // agent at a time in index order (bitwise-identical accumulation).
-    for i in lo..hi {
-        let agent = (base + i) as u64;
-        match v.states[i] {
-            AgentState::Active => {
-                st.decisions += u32::from(ctx.epoch >= v.blocked_until[i]);
-                if v.sprinted[i] {
-                    st.n_sprinters += 1;
-                    st.occ_sprinting += 1;
-                    st.tasks += v.phase[i];
-                    v.states[i] = AgentState::Cooling;
-                    let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                    v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
-                } else {
-                    st.occ_idle += 1;
-                    st.tasks += 1.0;
-                }
-            }
-            AgentState::Cooling => {
-                st.occ_cooling += 1;
-                st.tasks += 1.0;
-                if epoch >= v.cool_until[i] {
-                    v.states[i] = AgentState::Active;
-                }
-            }
-            AgentState::Recovery => {
-                v.states[i] = AgentState::Active;
-                st.occ_idle += 1;
-                st.tasks += 1.0;
-            }
+    // agent at a time in index order (bitwise-identical accumulation):
+    // `tasks` gets the sprint utility for sprinters and 1.0 for everyone
+    // else. A sprinter was Active, a Cooling agent stays Cooling until
+    // its exit epoch, and everyone else (Active, Recovery) ends Active.
+    // Sprinters' cooling exits are drawn after each block: none of them
+    // is Cooling now, so no `cool_until` read in the loop sees the write.
+    let mut sprinters = [0u32; EVENT_BLOCK];
+    for start in (lo..hi).step_by(EVENT_BLOCK) {
+        let end = (start + EVENT_BLOCK).min(hi);
+        let mut m = 0;
+        for (k, i) in (start..end).enumerate() {
+            let active = matches!(v.states[i], AgentState::Active);
+            let cooling = matches!(v.states[i], AgentState::Cooling);
+            let sprint = v.sprinted[i];
+            st.decisions += u32::from(active & (epoch >= v.blocked_until[i]));
+            st.n_sprinters += u32::from(sprint);
+            st.occ_cooling += u32::from(cooling);
+            st.occ_idle += u32::from(!sprint & !cooling);
+            // The sprint utility or 1.0, blended instead of selected
+            // (x86 has no conditional move for floats, so a float select
+            // compiles to a branch). With `f` 0 or 1 the blend is exact:
+            // a phase is finite, so `phase * f + (1 - f)` is `phase` or
+            // `1.0` bit for bit, and `tasks` sees the same addend.
+            let f = f64::from(u8::from(sprint));
+            st.tasks += v.phase[i] * f + (1.0 - f);
+            let still_cooling = cooling & (epoch < v.cool_until[i]);
+            v.states[i] = select_unpredictable(
+                sprint | still_cooling,
+                AgentState::Cooling,
+                AgentState::Active,
+            );
+            sprinters[m] = k as u32;
+            m += usize::from(sprint);
+        }
+        for &k in &sprinters[..m] {
+            let i = start + k as usize;
+            let u = ctx
+                .draws
+                .cooling
+                .uniform((base + i) as u64, u64::from(epoch), 0);
+            v.cool_until[i] = epoch_after(epoch, geometric_gap(u, ctx.cool_scale));
         }
     }
+    st.occ_sprinting = st.n_sprinters;
     st
 }
 
@@ -988,11 +1047,12 @@ fn run_chunk(
         return run_chunk_streamlined(ctx, decider, base, v, lo, hi);
     }
     let mut st = ChunkStats::default();
-    let epoch = ctx.epoch as u64;
+    let epoch = u64::from(ctx.epoch);
     let track_stuck = ctx.plan.stuck.is_some();
+    advance_phases(ctx, base, v, lo, hi);
     for i in lo..hi {
         let agent = (base + i) as u64;
-        let (down, flag) = advance_agent(ctx, agent, i, v);
+        let (down, flag) = churn_agent(ctx, agent, i, v);
         match flag {
             1 => st.crashes += 1,
             2 => st.restarts += 1,
@@ -1047,7 +1107,7 @@ fn run_chunk(
                     // same geometric law as a per-epoch exit draw, so
                     // parked agents below cost one load and compare.
                     let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                    v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
+                    v.cool_until[i] = epoch_after(ctx.epoch, geometric_gap(u, ctx.cool_scale));
                 } else {
                     st.occ_idle += 1;
                     st.tasks += 1.0;
@@ -1069,10 +1129,11 @@ fn run_chunk(
                             // geometric memorylessness makes this the
                             // same law as resuming per-epoch exit draws.
                             let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                            v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
+                            v.cool_until[i] =
+                                epoch_after(ctx.epoch, geometric_gap(u, ctx.cool_scale));
                         }
                     }
-                } else if epoch >= v.cool_until[i] {
+                } else if ctx.epoch >= v.cool_until[i] {
                     v.states[i] = AgentState::Active;
                 }
             }
@@ -1190,8 +1251,8 @@ impl PoolCtrl {
         }
     }
 
-    fn encode(epoch: usize, fused: bool, recovering: bool) -> u64 {
-        ((epoch as u64 + 1) << 2) | (u64::from(fused) << 1) | u64::from(recovering)
+    fn encode(epoch: u32, fused: bool, recovering: bool) -> u64 {
+        ((u64::from(epoch) + 1) << 2) | (u64::from(fused) << 1) | u64::from(recovering)
     }
 }
 
@@ -1213,7 +1274,7 @@ impl<'a> PassConstants<'a> {
     fn ctx(&self, ticket: u64) -> EpochCtx<'a> {
         let fused = ticket & 0b10 != 0;
         EpochCtx {
-            epoch: ((ticket >> 2) - 1) as usize,
+            epoch: ((ticket >> 2) - 1) as u32,
             plan: self.plan,
             draws: self.draws,
             phases: self.phases,
@@ -1244,10 +1305,10 @@ struct SpanPtr {
     /// Chunks in the span.
     n_stats: usize,
     phase: *mut f64,
-    next_change: *mut u64,
+    next_change: *mut u32,
     states: *mut AgentState,
-    blocked_until: *mut usize,
-    cool_until: *mut u64,
+    blocked_until: *mut u32,
+    cool_until: *mut u32,
     crashed: *mut bool,
     stuck: *mut bool,
     sprinted: *mut bool,
@@ -1498,7 +1559,7 @@ fn post_decide_pass(
     stats: &mut [ChunkStats],
     do_transitions: bool,
 ) {
-    let epoch = ctx.epoch as u64;
+    let epoch = u64::from(ctx.epoch);
     let track_stuck = ctx.plan.stuck.is_some();
     let mut lo = 0;
     for cs in stats.iter_mut() {
@@ -1536,7 +1597,8 @@ fn post_decide_pass(
                             }
                             v.states[i] = AgentState::Cooling;
                             let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                            v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
+                            v.cool_until[i] =
+                                epoch_after(ctx.epoch, geometric_gap(u, ctx.cool_scale));
                         }
                     } else {
                         st.occ_idle += 1;
@@ -1552,10 +1614,11 @@ fn post_decide_pass(
                                 if ctx.draws.stick.uniform(agent, epoch, 0) >= s.p_stuck_stay {
                                     v.stuck[i] = false;
                                     let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                                    v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
+                                    v.cool_until[i] =
+                                        epoch_after(ctx.epoch, geometric_gap(u, ctx.cool_scale));
                                 }
                             }
-                        } else if epoch >= v.cool_until[i] {
+                        } else if ctx.epoch >= v.cool_until[i] {
                             v.states[i] = AgentState::Active;
                         }
                     }
@@ -1731,7 +1794,10 @@ pub fn run_guarded(
     for (i, s) in streams.iter().enumerate() {
         lanes.phase[i] = s.phase_value();
         // First phase length, from the reserved setup coordinate.
-        lanes.next_change[i] = phases.gap(i, phases.keys[i].uniform(PHASE_SETUP_EPOCH, 0));
+        lanes.next_change[i] = epoch_after(
+            0,
+            phases.gap(i, phases.keys[i].uniform(PHASE_SETUP_EPOCH, 0)),
+        );
     }
     let chunk = config.options.chunk_agents;
     if chunk == 0 {
@@ -1772,7 +1838,16 @@ pub fn run_guarded(
 
     let mut rack_recovering = false;
     let mut faults = FaultMetrics::default();
-    let mut sprinters_per_epoch = Vec::with_capacity(config.epochs);
+    // The one per-epoch allocation: a horizon whose series cannot be
+    // reserved is a typed error, not an abort.
+    let mut sprinters_per_epoch = Vec::new();
+    sprinters_per_epoch
+        .try_reserve_exact(config.epochs)
+        .map_err(|_| SimError::InvalidParameter {
+            name: "epochs",
+            value: config.epochs as f64,
+            expected: "a horizon whose per-epoch series fits in memory",
+        })?;
     let mut occupancy = StateOccupancy::default();
     let mut total_tasks = 0.0f64;
     let mut trips = 0u32;
@@ -1801,7 +1876,7 @@ pub fn run_guarded(
 
             let fused = decider.is_some() && !rack_recovering;
             let ctx = EpochCtx {
-                epoch,
+                epoch: epoch as u32,
                 plan: &plan,
                 draws: &draws,
                 phases: &phases,
@@ -1884,9 +1959,8 @@ pub fn run_guarded(
                             draws
                                 .recovery
                                 .index(i as u64, epoch as u64, 1, u64::from(stagger))
-                                as usize
                         };
-                        lanes.blocked_until[i] = epoch + 1 + slot;
+                        lanes.blocked_until[i] = epoch_after(ctx.epoch, 1 + slot);
                     }
                 }
                 if on {
@@ -1943,7 +2017,7 @@ pub fn run_guarded(
                                     (lanes.phase[i] * (1.0 + relative_sd * z)).max(0.0)
                                 }
                             };
-                            let may_sprint = epoch >= lanes.blocked_until[i];
+                            let may_sprint = ctx.epoch >= lanes.blocked_until[i];
                             let sprint = may_sprint && policy.wants_sprint(i, estimate);
                             if sprint {
                                 lanes.sprinted[i] = true;
@@ -2239,6 +2313,31 @@ mod tests {
             &mut Telemetry::noop()
         )
         .is_err());
+    }
+
+    #[test]
+    fn horizon_is_bounded_by_the_epoch_lane_width() {
+        // The u32 epoch lanes are exact because no accepted run has an
+        // epoch index at the saturation value.
+        let game = small_game(10);
+        assert!(SimConfig::new(game, MAX_EPOCHS as usize, 1).is_ok());
+        if let Ok(over) = usize::try_from(u64::from(MAX_EPOCHS) + 1) {
+            let err = SimConfig::new(game, over, 1).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidParameter { name: "epochs", .. }),
+                "got {err}"
+            );
+        }
+        assert_eq!(epoch_after(5, 7), 12);
+        assert_eq!(epoch_after(MAX_EPOCHS - 2, 1), MAX_EPOCHS - 1);
+        assert_eq!(epoch_after(MAX_EPOCHS - 1, 1), MAX_EPOCHS);
+        assert_eq!(epoch_after(MAX_EPOCHS - 1, 2), MAX_EPOCHS);
+        assert_eq!(epoch_after(7, u64::MAX), MAX_EPOCHS);
+        // A tiny exit probability draws a gap far past any u32 horizon;
+        // the lane holds the saturated mark.
+        let scale = 1.0 / (1.0 - 1e-15f64).ln();
+        assert!(geometric_gap(0.5, scale) > u64::from(MAX_EPOCHS));
+        assert_eq!(epoch_after(0, geometric_gap(0.5, scale)), MAX_EPOCHS);
     }
 
     #[test]
