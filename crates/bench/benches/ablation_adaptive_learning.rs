@@ -7,7 +7,7 @@
 
 use sprint_bench::paper_scenario;
 use sprint_game::{GameConfig, MeanFieldSolver};
-use sprint_sim::engine::{run, SimConfig};
+use sprint_sim::engine::{run_guarded, RunGuard, SimConfig};
 use sprint_sim::policies::AdaptiveThreshold;
 use sprint_sim::policy::PolicyKind;
 use sprint_sim::telemetry::Telemetry;
@@ -50,10 +50,12 @@ fn main() {
             .spawn_streams(5)
             .expect("streams spawn");
         let sim_config = SimConfig::new(config, EPOCHS, 5).expect("valid epochs");
-        let learned_run = run(
+        let learned_run = run_guarded(
             &sim_config,
             &mut streams,
             &mut learner,
+            &RunGuard::default(),
+            1,
             &mut Telemetry::noop(),
         )
         .expect("simulation succeeds");

@@ -40,10 +40,12 @@ fn run(config: GameConfig, n_deviants: usize, enforcement: bool) -> (f64, u32, u
     let deviants: Vec<usize> = (0..n_deviants).collect();
     let mut policy =
         GrimTrigger::new(vec![ct.threshold; AGENTS], &deviants, enforcement).expect("valid policy");
-    let result = engine::run(
+    let result = engine::run_guarded(
         &SimConfig::new(config, EPOCHS, 17).expect("valid epochs"),
         &mut streams,
         &mut policy,
+        &engine::RunGuard::default(),
+        1,
         &mut Telemetry::noop(),
     )
     .expect("simulation succeeds");

@@ -7,7 +7,7 @@
 
 use sprint_bench::paper_scenario;
 use sprint_game::{GameConfig, MeanFieldSolver};
-use sprint_sim::engine::{run, SimConfig};
+use sprint_sim::engine::{run_guarded, RunGuard, SimConfig};
 use sprint_sim::policies::PredictiveThreshold;
 use sprint_sim::policy::PolicyKind;
 use sprint_sim::telemetry::Telemetry;
@@ -51,10 +51,12 @@ fn main() {
             .spawn_streams(9)
             .expect("streams spawn");
         let mut policy = PredictiveThreshold::uniform(eq.threshold(), 1000).expect("valid policy");
-        let predictive = run(
+        let predictive = run_guarded(
             &SimConfig::new(config, EPOCHS, 9).expect("valid epochs"),
             &mut streams,
             &mut policy,
+            &RunGuard::default(),
+            1,
             &mut Telemetry::noop(),
         )
         .expect("simulation succeeds");

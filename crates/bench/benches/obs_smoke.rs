@@ -21,7 +21,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use sprint_sim::engine::{run, run_jobs, SimConfig};
+use sprint_sim::engine::{run_guarded, RunGuard, SimConfig};
 use sprint_sim::policies::Greedy;
 use sprint_sim::telemetry::{
     EventRing, HealthAggregator, RingConfig, Severity, SpanProfile, Telemetry,
@@ -81,10 +81,12 @@ fn main() {
 
     let run_once = |telemetry: &mut Telemetry| -> f64 {
         let mut streams = population.spawn_streams(7).unwrap();
-        let r = run(
+        let r = run_guarded(
             black_box(&config),
             &mut streams,
             &mut Greedy::new(),
+            &RunGuard::default(),
+            1,
             telemetry,
         )
         .unwrap();
@@ -127,7 +129,15 @@ fn main() {
     let snapshot_at = |jobs: usize| -> String {
         let (mut ring, mut kit) = monitor_ring();
         let mut streams = population.spawn_streams(11).unwrap();
-        run_jobs(&config, &mut streams, &mut Greedy::new(), jobs, &mut kit).unwrap();
+        run_guarded(
+            &config,
+            &mut streams,
+            &mut Greedy::new(),
+            &RunGuard::default(),
+            jobs,
+            &mut kit,
+        )
+        .unwrap();
         let mut agg = HealthAggregator::default();
         agg.fold_all(&ring.drain());
         let snap = agg.snapshot(PINNED_ELAPSED_NANOS, ring.dropped());

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use sprint_sim::engine::{run, SimConfig};
+use sprint_sim::engine::{run_guarded, RunGuard, SimConfig};
 use sprint_sim::policies::{ExponentialBackoff, Greedy};
 use sprint_sim::policy::PolicyKind;
 use sprint_sim::scenario::Scenario;
@@ -30,10 +30,12 @@ fn bench_engine(c: &mut Criterion) {
                 )
             },
             |(cfg, mut streams)| {
-                run(
+                run_guarded(
                     black_box(&cfg),
                     &mut streams,
                     &mut Greedy::new(),
+                    &RunGuard::default(),
+                    1,
                     &mut Telemetry::noop(),
                 )
                 .unwrap()
@@ -51,10 +53,12 @@ fn bench_engine(c: &mut Criterion) {
                 )
             },
             |(cfg, mut streams, mut policy)| {
-                run(
+                run_guarded(
                     black_box(&cfg),
                     &mut streams,
                     &mut policy,
+                    &RunGuard::default(),
+                    1,
                     &mut Telemetry::noop(),
                 )
                 .unwrap()

@@ -1,8 +1,8 @@
 //! Telemetry overhead smoke check (not a criterion bench).
 //!
 //! Measures the engine at rack scale in three configurations — two
-//! independent `engine::run` passes with disabled telemetry (the second
-//! doubles as a run-to-run noise check now that the deprecated
+//! independent `engine::run_guarded` passes with disabled telemetry (the
+//! second doubles as a run-to-run noise check now that the deprecated
 //! `simulate` shim is gone) and one with a live in-memory recorder —
 //! and enforces the zero-cost-when-disabled contract: the disabled
 //! path must stay within 5 % of the baseline.
@@ -22,7 +22,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use sprint_sim::engine::{run, SimConfig};
+use sprint_sim::engine::{run_guarded, RunGuard, SimConfig};
 use sprint_sim::policies::Greedy;
 use sprint_sim::telemetry::Telemetry;
 use sprint_workloads::generator::Population;
@@ -69,10 +69,12 @@ fn main() {
 
     let run_once = |telemetry: &mut Telemetry| -> f64 {
         let mut streams = population.spawn_streams(7).unwrap();
-        let r = run(
+        let r = run_guarded(
             black_box(&config),
             &mut streams,
             &mut Greedy::new(),
+            &RunGuard::default(),
+            1,
             telemetry,
         )
         .unwrap();

@@ -117,7 +117,7 @@ pub trait SprintPolicy: Send {
     }
 
     /// Export policy-internal state into a metrics registry. Called once
-    /// at the end of an instrumented run ([`crate::engine::run`]);
+    /// at the end of an instrumented run ([`crate::engine::run_guarded`]);
     /// the default exports nothing, and un-instrumented runs never call
     /// it, so stateless policies pay nothing.
     fn export_metrics(&self, registry: &mut sprint_telemetry::Registry) {

@@ -470,7 +470,7 @@ impl Scenario {
     /// Run one simulation of this scenario under `kind` with `seed` — the
     /// unified entry point. The population build
     /// ([`Population::spawn_streams_jobs`]) and the engine's agent kernel
-    /// ([`engine::run_jobs`]) fan out over `jobs` threads; the result is
+    /// ([`engine::run_guarded`]) fan out over `jobs` threads; the result is
     /// byte-identical at every job count. Pass [`Telemetry::noop()`] for an
     /// unobserved run; with an enabled kit the offline solve narrates
     /// through the recorder first (residual curves for E-T), then the
@@ -510,7 +510,14 @@ impl Scenario {
         if let Some(start) = solve_span {
             telemetry.spans.end("scenario.solve", start);
         }
-        engine::run_jobs(&config, streams, policy.as_mut(), jobs, telemetry)
+        engine::run_guarded(
+            &config,
+            streams,
+            policy.as_mut(),
+            &engine::RunGuard::default(),
+            jobs,
+            telemetry,
+        )
     }
 }
 

@@ -27,8 +27,9 @@
 //!   and retry runs on a clone instead of a fresh build: a pair is built
 //!   at most once per worker.
 //!
-//! Trials use only the unified telemetry-carrying API ([`engine::run`],
-//! [`Scenario::policy`], [`Scenario::equilibrium_policy_cached`]).
+//! Trials use only the unified telemetry-carrying API
+//! ([`engine::run_guarded`], [`Scenario::policy`],
+//! [`Scenario::equilibrium_policy_cached`]).
 //!
 //! Trials run **supervised** ([`Supervision`]): each gets an optional
 //! wall-clock deadline (enforced cooperatively at the engine's epoch

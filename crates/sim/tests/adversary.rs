@@ -324,7 +324,15 @@ fn grim_trigger_counts_reach_the_metrics_registry() {
     let config = SimConfig::new(*scenario.game(), 200, 5).unwrap();
     let mut streams = scenario.population().spawn_streams(5).unwrap();
     let mut kit = Telemetry::in_memory();
-    engine::run(&config, &mut streams, &mut policy, &mut kit).unwrap();
+    engine::run_guarded(
+        &config,
+        &mut streams,
+        &mut policy,
+        &engine::RunGuard::default(),
+        1,
+        &mut kit,
+    )
+    .unwrap();
 
     let snapshot = kit.registry.snapshot();
     let detections = snapshot.counters["policy.grim.detections"];

@@ -73,8 +73,8 @@ impl Telemetry {
     }
 
     /// Alias for [`Telemetry::disabled`], for call sites of the unified
-    /// run API that want no observation: `engine::run(cfg, streams,
-    /// policy, &mut Telemetry::noop())`.
+    /// run API that want no observation: `engine::run_guarded(cfg,
+    /// streams, policy, guard, jobs, &mut Telemetry::noop())`.
     #[must_use]
     pub fn noop() -> Self {
         Telemetry::disabled()

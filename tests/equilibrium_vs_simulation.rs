@@ -4,7 +4,7 @@
 //! phase persistence.
 
 use computational_sprinting::game::{GameConfig, MeanFieldSolver, ThresholdStrategy};
-use computational_sprinting::sim::engine::{run, SimConfig};
+use computational_sprinting::sim::engine::{run_guarded, RunGuard, SimConfig};
 use computational_sprinting::sim::policies::ThresholdPolicy;
 use computational_sprinting::stats::rng::SeedSequence;
 use computational_sprinting::telemetry::Telemetry;
@@ -36,10 +36,12 @@ fn mean_field_sprinter_count_matches_iid_simulation() {
         ThresholdPolicy::uniform("E-T", ThresholdStrategy::new(eq.threshold()).unwrap(), 1000)
             .unwrap();
     let sim_config = SimConfig::new(config, 2000, 99).unwrap();
-    let result = run(
+    let result = run_guarded(
         &sim_config,
         &mut streams,
         &mut policy,
+        &RunGuard::default(),
+        1,
         &mut Telemetry::noop(),
     )
     .unwrap();
@@ -78,10 +80,12 @@ fn equation_9_sprint_rate_matches_iid_simulation() {
         ThresholdPolicy::uniform("E-T", ThresholdStrategy::new(eq.threshold()).unwrap(), 1)
             .unwrap();
     let sim_config = SimConfig::new(solo, 40_000, 7).unwrap();
-    let result = run(
+    let result = run_guarded(
         &sim_config,
         &mut streams,
         &mut policy,
+        &RunGuard::default(),
+        1,
         &mut Telemetry::noop(),
     )
     .unwrap();
@@ -124,10 +128,12 @@ fn phase_persistence_keeps_system_below_the_band() {
     let mut policy =
         ThresholdPolicy::uniform("E-T", ThresholdStrategy::new(eq.threshold()).unwrap(), 1000)
             .unwrap();
-    let result = run(
+    let result = run_guarded(
         &SimConfig::new(config, 1500, 3).unwrap(),
         &mut streams,
         &mut policy,
+        &RunGuard::default(),
+        1,
         &mut Telemetry::noop(),
     )
     .unwrap();

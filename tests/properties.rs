@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use computational_sprinting::game::bellman::{self, BellmanMethod};
 use computational_sprinting::game::trip::TripCurve;
 use computational_sprinting::game::{GameConfig, ThresholdStrategy};
-use computational_sprinting::sim::engine::{run, SimConfig};
+use computational_sprinting::sim::engine::{run_guarded, RunGuard, SimConfig};
 use computational_sprinting::sim::policies::ThresholdPolicy;
 use computational_sprinting::stats::density::DiscreteDensity;
 use computational_sprinting::stats::markov::active_cooling_stationary;
@@ -170,7 +170,7 @@ proptest! {
             n as usize,
         )
         .unwrap();
-        let r = run(&cfg, &mut streams, &mut policy, &mut Telemetry::noop()).unwrap();
+        let r = run_guarded(&cfg, &mut streams, &mut policy, &RunGuard::default(), 1, &mut Telemetry::noop()).unwrap();
         // Every agent-epoch is accounted to exactly one condition.
         prop_assert_eq!(r.occupancy().total(), u64::from(n) * epochs as u64);
         // Throughput is bounded: at least recovery-share zero, at most
