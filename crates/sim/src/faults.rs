@@ -155,12 +155,12 @@ pub struct FaultPlan {
     pub breaker_drift: Option<BreakerDrift>,
     /// Stale coordinator thresholds.
     pub staleness: Option<CoordinatorStaleness>,
-    /// Lossy/delaying/duplicating control-plane transport. `serde`
-    /// defaults keep pre-control-plane plan JSON loadable.
-    #[serde(default)]
+    /// Lossy/delaying/duplicating control-plane transport. Plan JSON
+    /// written before the control plane has no such key; an absent
+    /// `Option` field reads as `None`, so that JSON still loads.
     pub transport: Option<TransportFault>,
-    /// A scheduled rack partition.
-    #[serde(default)]
+    /// A scheduled rack partition (absent from older plan JSON, like
+    /// `transport`).
     pub partition: Option<RackPartition>,
 }
 
