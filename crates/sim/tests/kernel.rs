@@ -8,12 +8,20 @@
 //! fault instance (crash churn and stuck gates), noisy estimation with
 //! and without faults, and the serial decide loop with its Settle pass
 //! (E-B, and E-T under a kit that wants decision events).
+//!
+//! Further cases pin every geometric draw of the kernel away from the
+//! default game: slower cooling, phase persistence 1 and 24 on streams
+//! built one at a time, released stuck gates, and one shared threshold
+//! over two cohorts.
 
+use sprint_game::GameConfig;
 use sprint_sim::engine::{self, RunOptions, SimConfig, UtilityEstimation};
-use sprint_sim::faults::FaultPlan;
-use sprint_sim::policy::PolicyKind;
+use sprint_sim::faults::{FaultPlan, StuckSprinters};
+use sprint_sim::policy::{PolicyKind, SprintPolicy};
 use sprint_sim::scenario::Scenario;
 use sprint_sim::telemetry::{EventKind, Telemetry};
+use sprint_workloads::generator::Population;
+use sprint_workloads::phases::PhasedUtility;
 use sprint_workloads::Benchmark;
 
 const AGENTS: u32 = 2500;
@@ -43,18 +51,30 @@ fn digest_observed(
     jobs: usize,
     telemetry: &mut Telemetry,
 ) -> u64 {
-    let mut streams = scenario
+    let streams = scenario
         .population()
         .spawn_streams_jobs(SEED, jobs)
         .unwrap();
+    let mut policy = scenario.policy(kind, SEED, &mut Telemetry::noop()).unwrap();
+    digest_streams(scenario, streams, policy.as_mut(), jobs, telemetry)
+}
+
+/// One run of `scenario`'s game and options on caller-built `streams`,
+/// digested like [`digest`].
+fn digest_streams(
+    scenario: &Scenario,
+    mut streams: Vec<PhasedUtility>,
+    policy: &mut dyn SprintPolicy,
+    jobs: usize,
+    telemetry: &mut Telemetry,
+) -> u64 {
     let config = SimConfig::new(*scenario.game(), scenario.epochs(), SEED)
         .unwrap()
         .with_options(*scenario.options());
-    let mut policy = scenario.policy(kind, SEED, &mut Telemetry::noop()).unwrap();
     let result = engine::run_guarded(
         &config,
         &mut streams,
-        policy.as_mut(),
+        policy,
         &engine::RunGuard::default(),
         jobs,
         telemetry,
@@ -200,6 +220,114 @@ fn decision_traced_run_matches_the_untraced_digest() {
         assert_eq!(
             got, 0x9317_6AB2_08A4_108F,
             "traced E-T composite at jobs {jobs}: got {got:#018X}"
+        );
+    }
+}
+
+#[test]
+fn slow_cooling_games_match_recorded_digests() {
+    // p_c 0.95 draws cooling exits past any table of a few dozen gaps.
+    for (p_cooling, expected) in [(0.75, 0x96DE_30F7_2826_A339), (0.95, 0x9B76_FB3A_A973_D89F)] {
+        let game = GameConfig::builder()
+            .n_agents(AGENTS)
+            .p_cooling(p_cooling)
+            .build()
+            .unwrap();
+        let population = Population::homogeneous(Benchmark::Svm, AGENTS as usize).unwrap();
+        let s = Scenario::with_game(population, game, EPOCHS).unwrap();
+        check(
+            &format!("E-T p_c {p_cooling}"),
+            &s,
+            PolicyKind::EquilibriumThreshold,
+            expected,
+        );
+    }
+}
+
+#[test]
+fn one_off_streams_match_recorded_digests() {
+    // Each stream carries its own cohort. Persistence 1 resamples every
+    // epoch (gap scale -0.0); persistence 24 draws many gaps past the end
+    // of a few-dozen-entry table.
+    let s = svm();
+    for (persistence, expected) in [(1.0, 0xCED2_705D_F97C_F4D6), (24.0, 0x7909_7303_1999_225C)] {
+        for jobs in JOBS {
+            let streams = (0..u64::from(AGENTS))
+                .map(|a| {
+                    PhasedUtility::new(
+                        Benchmark::Svm.speedup_distribution(),
+                        persistence,
+                        SEED.wrapping_mul(1_000_003).wrapping_add(a),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let mut policy = s
+                .policy(
+                    PolicyKind::EquilibriumThreshold,
+                    SEED,
+                    &mut Telemetry::noop(),
+                )
+                .unwrap();
+            let got = digest_streams(&s, streams, policy.as_mut(), jobs, &mut Telemetry::noop());
+            assert_eq!(
+                got, expected,
+                "one-off streams at persistence {persistence}, jobs {jobs}: got {got:#018X}"
+            );
+        }
+    }
+}
+
+#[test]
+fn stuck_gates_match_recorded_digests() {
+    // Half the sprints stick, so many gates release and redraw their
+    // cooling exit.
+    let plan = FaultPlan {
+        seed: 11,
+        stuck: Some(StuckSprinters {
+            stick_probability: 0.5,
+            p_stuck_stay: 0.7,
+        }),
+        ..FaultPlan::none()
+    };
+    let s = svm().with_options(options(plan, engine::DEFAULT_CHUNK));
+    check("G stuck", &s, PolicyKind::Greedy, 0x446C_9497_BA85_20AA);
+    check(
+        "E-T stuck",
+        &s,
+        PolicyKind::EquilibriumThreshold,
+        0xEAF9_0E2A_7DFF_FD00,
+    );
+}
+
+#[test]
+fn shared_threshold_over_two_cohorts_matches_recorded_digest() {
+    // Two homogeneous spawns laid end to end: two cohort runs, one C-T
+    // threshold.
+    let half = AGENTS as usize / 2;
+    let s = Scenario::heterogeneous(&[Benchmark::Svm, Benchmark::Kmeans], AGENTS, EPOCHS).unwrap();
+    for jobs in JOBS {
+        let mut streams = Population::homogeneous(Benchmark::Svm, half)
+            .unwrap()
+            .spawn_streams_jobs(SEED, jobs)
+            .unwrap();
+        streams.extend(
+            Population::homogeneous(Benchmark::Kmeans, AGENTS as usize - half)
+                .unwrap()
+                .spawn_streams_jobs(SEED + 1, jobs)
+                .unwrap(),
+        );
+        let mut policy = s
+            .policy(
+                PolicyKind::CooperativeThreshold,
+                SEED,
+                &mut Telemetry::noop(),
+            )
+            .unwrap();
+        let got = digest_streams(&s, streams, policy.as_mut(), jobs, &mut Telemetry::noop());
+        assert_eq!(
+            got, 0x1B10_4306_BF78_E78D,
+            "C-T over two cohorts at jobs {jobs}: got {got:#018X}"
         );
     }
 }
