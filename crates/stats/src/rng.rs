@@ -237,6 +237,201 @@ impl CounterLane {
     }
 }
 
+/// The step of the counter uniforms' grid: [`CounterRng::uniform`] is
+/// `m · 2⁻⁵³` for the 53-bit grid index `m = word >> 11`.
+const GRID_STEP: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// One past the largest grid index.
+const GRID_END: u64 = 1 << 53;
+
+/// A geometric variate on `{1, 2, ...}` by inversion of one uniform:
+/// `1 + floor(ln(1-u) · scale)` with `scale = 1 / ln(q)`, where `q` is
+/// the per-step probability of another step (mean `1 / (1 - q)`). The
+/// `f64 -> u64` cast saturates, so `q` near 1 yields astronomically long
+/// (not wrapped) gaps, and `q = 0` (`scale = -0.0`) always yields 1.
+///
+/// [`GapTable`] returns exactly this value for every counter word, and
+/// falls back to it past its last entry.
+///
+/// ```
+/// use sprint_stats::rng::geometric_gap;
+///
+/// let scale = 0.5f64.ln().recip(); // mean 2
+/// assert_eq!(geometric_gap(0.0, scale), 1);
+/// assert_eq!(geometric_gap(0.5, scale), 2);
+/// assert_eq!(geometric_gap(0.75, scale), 3);
+/// assert_eq!(geometric_gap(0.9, -0.0), 1);
+/// ```
+#[inline]
+#[must_use]
+pub fn geometric_gap(u: f64, scale: f64) -> u64 {
+    1 + ((1.0 - u).ln() * scale) as u64
+}
+
+/// [`geometric_gap`] of the counter uniform at grid index `m`.
+#[inline]
+fn gap_at(m: u64, scale: f64) -> u64 {
+    geometric_gap(m as f64 * GRID_STEP, scale)
+}
+
+/// [`geometric_gap`] of a counter word's uniform without a logarithm:
+/// a table of the grid indices at which the gap steps up.
+///
+/// Entry `j` is the first grid index `m` (of `u = m · 2⁻⁵³`) whose gap is
+/// at least `j + 2`, so below the last entry the gap is one plus the
+/// number of entries at or below `m`, found by a branch-free binary
+/// search. A word at or past the last entry takes the logarithm. The
+/// table holds enough entries that at most about 2⁻²⁰ of draws fall back,
+/// up to [`GapTable::CAPACITY`].
+///
+/// Every entry is seeded from the closed form `⌈(1 − e^{k/s})·2⁵³⌉` and
+/// corrected with a few [`geometric_gap`] evaluations. The computed gap
+/// can disagree with the exact one only within three grid points of an
+/// entry, so the build checks every point of a window around each entry
+/// against [`geometric_gap`]; a disagreement (or a scale that is not a
+/// finite non-positive number) leaves the table empty, and every draw
+/// then takes the logarithm. Lookups therefore equal [`geometric_gap`]
+/// bit for bit.
+///
+/// ```
+/// use sprint_stats::rng::{geometric_gap, CounterRng, GapTable};
+///
+/// let scale = 0.5f64.ln().recip();
+/// let table = GapTable::new(scale);
+/// let rng = CounterRng::new(3, 1);
+/// for agent in 0..1000 {
+///     let u = rng.uniform(agent, 0, 0);
+///     assert_eq!(table.gap(rng.word(agent, 0, 0)), geometric_gap(u, scale));
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct GapTable {
+    /// Grid index at which gap `j + 2` starts; unused entries hold
+    /// `u64::MAX`, which no grid index reaches.
+    bounds: [u64; GapTable::CAPACITY],
+    /// Grid indices from here on take the logarithm: the last entry, or
+    /// 0 for an empty table.
+    limit: u64,
+    scale: f64,
+}
+
+impl GapTable {
+    /// The most entries a table holds: a power of two, so the search
+    /// takes `log2(CAPACITY)` steps.
+    pub const CAPACITY: usize = 64;
+
+    /// The build checks grid indices `b - WINDOW .. b + WINDOW` around
+    /// each entry `b`: where the computed gap can disagree with the exact
+    /// one is fewer than three grid points wide and holds `b` or `b - 1`
+    /// (DESIGN §12.2).
+    const WINDOW: u64 = 3;
+
+    /// Grid steps the correction of a closed-form seed may take before
+    /// the build gives up and leaves the table empty.
+    const MAX_CORRECTION: u32 = 64;
+
+    /// The table for `scale = 1 / ln(q)`, as in [`geometric_gap`].
+    #[must_use]
+    pub fn new(scale: f64) -> GapTable {
+        let mut table = GapTable {
+            bounds: [u64::MAX; GapTable::CAPACITY],
+            limit: 0,
+            scale,
+        };
+        if !(scale.is_finite() && scale <= 0.0) {
+            return table;
+        }
+        // q^k ≤ 2⁻²⁰ from k = 20·ln 2·|s| on.
+        let entries = (-20.0 * std::f64::consts::LN_2 * scale)
+            .ceil()
+            .clamp(1.0, GapTable::CAPACITY as f64) as usize;
+        for j in 0..entries {
+            let gap = j as u64 + 2;
+            // The gap reaches k + 1 where u ≥ 1 − e^{k/s}; a grid index of
+            // 2⁵³ means it never does.
+            let k = (j + 1) as f64;
+            let seed = (-(k / scale).exp_m1() * GRID_END as f64).ceil();
+            let Some(bound) = GapTable::first_reaching(seed as u64, gap, scale) else {
+                return table;
+            };
+            table.bounds[j] = bound;
+        }
+        table.limit = table.bounds[entries - 1];
+        let bounds = &table.bounds[..entries];
+        let agrees = bounds.windows(2).all(|w| w[0] <= w[1])
+            && bounds.iter().all(|&b| {
+                let lo = b.saturating_sub(GapTable::WINDOW);
+                let hi = (b + GapTable::WINDOW).min(table.limit);
+                (lo..hi).all(|m| table.lookup(m) == gap_at(m, scale))
+            });
+        if !agrees {
+            table.bounds = [u64::MAX; GapTable::CAPACITY];
+            table.limit = 0;
+        }
+        table
+    }
+
+    /// The first grid index whose gap is at least `gap`, walked to from
+    /// `seed` (2⁵³ when no grid index reaches it).
+    fn first_reaching(seed: u64, gap: u64, scale: f64) -> Option<u64> {
+        let mut m = seed.min(GRID_END);
+        for _ in 0..GapTable::MAX_CORRECTION {
+            if m > 0 && gap_at(m - 1, scale) >= gap {
+                m -= 1;
+            } else if m < GRID_END && gap_at(m, scale) < gap {
+                m += 1;
+            } else {
+                return Some(m);
+            }
+        }
+        None
+    }
+
+    /// One plus the number of entries at or below grid index `m`, for
+    /// `m` below the last entry: a branch-free binary search over the
+    /// power-of-two table. The count stays below [`GapTable::CAPACITY`],
+    /// so each step halves an interval that holds it.
+    #[inline]
+    fn lookup(&self, m: u64) -> u64 {
+        let mut at = 0;
+        let mut half = GapTable::CAPACITY / 2;
+        while half > 0 {
+            // The mask keeps every index in bounds without a check.
+            at += half * usize::from(self.bounds[(at + half - 1) & (GapTable::CAPACITY - 1)] <= m);
+            half /= 2;
+        }
+        1 + at as u64
+    }
+
+    /// [`geometric_gap`] of the uniform of counter word `word` (see
+    /// [`CounterRng::uniform`]), bit for bit.
+    #[inline]
+    #[must_use]
+    pub fn gap(&self, word: u64) -> u64 {
+        let m = word >> 11;
+        if m < self.limit {
+            self.lookup(m)
+        } else {
+            gap_at(m, self.scale)
+        }
+    }
+
+    /// The scale the table was built for.
+    #[must_use]
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    /// The table's entries: entry `j` is the first grid index whose gap
+    /// is at least `j + 2`, and 2⁵³ for a gap no grid index reaches.
+    /// Empty when every draw takes the logarithm.
+    #[must_use]
+    pub fn bounds(&self) -> &[u64] {
+        let n = self.bounds.iter().take_while(|&&b| b != u64::MAX).count();
+        &self.bounds[..n]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@ use sprint_stats::dist::{ContinuousDistribution, LogNormal, Mixture, TruncatedNo
 use sprint_stats::histogram::Histogram;
 use sprint_stats::kde::{kernel_density_with_bandwidth, silverman_bandwidth};
 use sprint_stats::markov::MarkovChain;
-use sprint_stats::rng::{seeded_rng, SeedSequence};
+use sprint_stats::rng::{geometric_gap, seeded_rng, CounterRng, GapTable, SeedSequence};
 use sprint_stats::summary::{confidence_interval_95, percentile, OnlineStats};
 
 fn arb_uniform() -> impl Strategy<Value = Uniform> {
@@ -218,5 +218,77 @@ fn skip_sample_consumes_the_draws_of_edge_truncations() {
     ];
     for (k, (name, d)) in cases.into_iter().enumerate() {
         assert_skip_consumes_sample_draws(name, &d.expect("valid truncation"), 0xED6E + k as u64);
+    }
+}
+
+/// The gap scales the engine draws with: phase persistence `P` resamples
+/// with probability `1 / P` (scale `1 / ln(1 - 1/P)`), and cooling
+/// persistence `p_c` exits with probability `1 - p_c` (scale
+/// `1 / ln(p_c)`).
+fn engine_gap_scales() -> Vec<(String, f64)> {
+    let phases = [1.0, 1.5, 3.0, 24.0, 1000.0]
+        .map(|p: f64| (format!("persistence {p}"), 1.0 / (1.0 - 1.0 / p).ln()));
+    let cooling =
+        [0.0, 0.5, 0.75, 0.99, 1.0 - 1e-9].map(|p_c: f64| (format!("p_c {p_c}"), p_c.ln().recip()));
+    phases.into_iter().chain(cooling).collect()
+}
+
+/// The table's gap and the logarithm's at grid index `m`; the low 11
+/// bits of the word must not matter.
+fn both_gaps(table: &GapTable, m: u64, low: u64) -> (u64, u64) {
+    let u = m as f64 / (1u64 << 53) as f64;
+    (
+        table.gap(m << 11 | low & 0x7FF),
+        geometric_gap(u, table.scale()),
+    )
+}
+
+#[test]
+fn gap_table_equals_the_logarithm_around_every_bound() {
+    const REACH: u64 = 4096;
+    const GRID: u64 = 1 << 53;
+    for (name, scale) in engine_gap_scales() {
+        let table = GapTable::new(scale);
+        assert!(
+            !table.bounds().is_empty(),
+            "{name}: the build fell back to ln"
+        );
+        let mut points = vec![0, GRID - 1];
+        for &b in table.bounds() {
+            points.extend(b.saturating_sub(REACH)..(b + REACH + 1).min(GRID));
+        }
+        for m in points {
+            let (got, want) = both_gaps(&table, m, m.rotate_left(17));
+            assert_eq!(got, want, "{name}: grid index {m}");
+        }
+    }
+}
+
+#[test]
+fn gap_table_equals_the_logarithm_on_random_words() {
+    for (k, (name, scale)) in engine_gap_scales().into_iter().enumerate() {
+        let table = GapTable::new(scale);
+        let rng = CounterRng::new(0x6A9, k as u64);
+        for i in 0..1_000_000 {
+            let w = rng.word(i, 0, 0);
+            let (got, want) = both_gaps(&table, w >> 11, w);
+            assert_eq!(got, want, "{name}: word {w:#x}");
+        }
+    }
+}
+
+#[test]
+fn gap_tables_leave_at_most_about_one_draw_in_a_million_to_the_logarithm() {
+    let entries = |scale: f64| GapTable::new(scale).bounds().len();
+    assert_eq!(entries((1.0 - 1.0 / 3.0f64).ln().recip()), 35);
+    assert_eq!(entries(0.5f64.ln().recip()), 20);
+    assert_eq!(entries(0.75f64.ln().recip()), 49);
+    for (name, scale) in engine_gap_scales() {
+        let table = GapTable::new(scale);
+        let bounds = table.bounds();
+        let tail = ((1u64 << 53) - bounds[bounds.len() - 1]) as f64 / (1u64 << 53) as f64;
+        if bounds.len() < GapTable::CAPACITY {
+            assert!(tail <= 2f64.powi(-20) * 1.001, "{name}: tail {tail}");
+        }
     }
 }
