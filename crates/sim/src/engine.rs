@@ -48,7 +48,7 @@ use sprint_game::trip::TripCurve;
 use sprint_game::{AgentState, GameConfig};
 use sprint_power::pcm::CurrentSensor;
 use sprint_stats::density::{AliasSampler, DiscreteDensity};
-use sprint_stats::rng::{CounterLane, CounterRng};
+use sprint_stats::rng::{CounterLane, CounterRng, GapTable};
 use sprint_telemetry::{
     CounterId, Event, EventKind, FaultKind, HistogramId, Registry, SeriesId, Telemetry,
 };
@@ -58,6 +58,9 @@ use crate::faults::{FaultMetrics, FaultPlan};
 use crate::metrics::{SimResult, StateOccupancy};
 use crate::policy::{SprintPolicy, StaticDecider};
 use crate::SimError;
+
+#[cfg(test)]
+use sprint_stats::rng::geometric_gap;
 
 /// What servers produce while the rack recovers.
 #[derive(
@@ -593,7 +596,7 @@ struct PhaseKernel {
     keys: Vec<CounterLane>,
     /// Index into `cohorts` per agent (a population has a handful of
     /// cohorts, so this lane is small integers and `cohorts` stays
-    /// cache-hot).
+    /// cache-hot). Empty when there is one cohort: every agent's is 0.
     cohort_of: Vec<u32>,
     /// What the agents of one cohort share, once per distinct cohort.
     cohorts: Vec<CohortKernel>,
@@ -604,14 +607,15 @@ struct PhaseKernel {
 struct CohortKernel {
     /// O(1) alias sampler over the cohort's density.
     sampler: AliasSampler,
-    /// `1 / ln(1 - p_resample)` — the scale that turns one uniform into a
-    /// geometric phase length by inversion (`-0.0` when
-    /// `p_resample >= 1`, which correctly yields length-1 phases).
-    gap_scale: f64,
+    /// Geometric phase lengths by inversion of one counter word, at scale
+    /// `1 / ln(1 - p_resample)` (`-0.0` when `p_resample >= 1`, which
+    /// correctly yields length-1 phases).
+    gaps: GapTable,
 }
 
 impl PhaseKernel {
     fn new(streams: &[PhasedUtility]) -> Self {
+        use std::collections::hash_map::{Entry, HashMap};
         // Deduplicate by shared-table identity and persistence: spawn
         // cohorts hand every stream of a benchmark the same `Arc`, so a
         // population has a handful of distinct cohorts regardless of
@@ -619,30 +623,46 @@ impl PhaseKernel {
         // degrades gracefully to one cohort per agent). Spawned agents
         // come in runs of one cohort — a homogeneous population is a
         // single run — so an agent that continues its predecessor's run
-        // costs one compare, not a hash lookup.
+        // costs one compare, not a hash lookup. The cohort lane is written
+        // only once a second cohort appears, so a single-cohort population
+        // never allocates it. Cohorts of one persistence share one gap
+        // table, built once.
         type Key = (*const DiscreteDensity, u64);
-        let mut seen: std::collections::HashMap<Key, u32> = std::collections::HashMap::new();
-        let mut cohorts = Vec::new();
+        let mut seen: HashMap<Key, u32> = HashMap::new();
+        let mut tables: HashMap<u64, u32> = HashMap::new();
+        let mut cohorts: Vec<CohortKernel> = Vec::new();
+        let mut cohort_of = Vec::new();
         let mut run: Option<(Key, u32)> = None;
-        let cohort_of = streams
-            .iter()
-            .map(|s| {
-                let p = s.resample_probability();
-                let key = (Arc::as_ptr(s.sample_table()), p.to_bits());
-                let c = match run {
-                    Some((k, c)) if k == key => c,
-                    _ => *seen.entry(key).or_insert_with(|| {
-                        cohorts.push(CohortKernel {
-                            sampler: AliasSampler::new(s.sample_table()),
-                            gap_scale: 1.0 / (1.0 - p).ln(),
-                        });
-                        (cohorts.len() - 1) as u32
-                    }),
-                };
-                run = Some((key, c));
-                c
-            })
-            .collect();
+        for (a, s) in streams.iter().enumerate() {
+            let p = s.resample_probability();
+            let key = (Arc::as_ptr(s.sample_table()), p.to_bits());
+            let c = match run {
+                Some((k, c)) if k == key => c,
+                _ => *seen.entry(key).or_insert_with(|| {
+                    let c = cohorts.len() as u32;
+                    let gaps = match tables.entry(p.to_bits()) {
+                        Entry::Occupied(e) => cohorts[*e.get() as usize].gaps.clone(),
+                        Entry::Vacant(e) => {
+                            e.insert(c);
+                            GapTable::new(1.0 / (1.0 - p).ln())
+                        }
+                    };
+                    cohorts.push(CohortKernel {
+                        sampler: AliasSampler::new(s.sample_table()),
+                        gaps,
+                    });
+                    c
+                }),
+            };
+            run = Some((key, c));
+            if c != 0 && cohort_of.is_empty() {
+                cohort_of.reserve_exact(streams.len());
+                cohort_of.resize(a, 0);
+            }
+            if !cohort_of.is_empty() {
+                cohort_of.push(c);
+            }
+        }
         PhaseKernel {
             keys: streams
                 .iter()
@@ -653,6 +673,16 @@ impl PhaseKernel {
         }
     }
 
+    /// Agent `a`'s cohort.
+    #[inline]
+    fn cohort(&self, a: usize) -> &CohortKernel {
+        if self.cohort_of.is_empty() {
+            &self.cohorts[0]
+        } else {
+            &self.cohorts[self.cohort_of[a] as usize]
+        }
+    }
+
     /// Agent `a`'s resampled phase from one counter word: its high half
     /// picks the alias-table bin, its low half the position in the bin.
     #[inline]
@@ -660,27 +690,22 @@ impl PhaseKernel {
         let scale = 1.0 / 4_294_967_296.0;
         let u_bin = (w >> 32) as f64 * scale;
         let u_pos = f64::from(w as u32) * scale;
-        self.cohorts[self.cohort_of[a] as usize]
-            .sampler
-            .sample(u_bin, u_pos)
+        self.cohort(a).sampler.sample(u_bin, u_pos)
     }
 
     /// A geometric phase length on `{1, 2, ...}` with mean `persistence`,
-    /// by inversion of one uniform.
+    /// by inversion of the uniform of counter word `w`.
     #[inline]
-    fn gap(&self, a: usize, u: f64) -> u64 {
-        geometric_gap(u, self.cohorts[self.cohort_of[a] as usize].gap_scale)
+    fn next_gap(&self, a: usize, w: u64) -> u64 {
+        self.cohort(a).gaps.gap(w)
     }
-}
 
-/// A geometric variate on `{1, 2, ...}` with success probability `p`, by
-/// inversion: `1 + floor(ln(1-u) / ln(1-p))` with `scale = 1 / ln(1-p)`
-/// precomputed. The `f64 -> u64` cast saturates, so near-zero exit
-/// probabilities yield astronomically long (not wrapped) gaps, and
-/// `p = 1` (`scale = -0.0`) always yields 1.
-#[inline]
-fn geometric_gap(u: f64, scale: f64) -> u64 {
-    1 + ((1.0 - u).ln() * scale) as u64
+    /// The phase length [`geometric_gap`] gives agent `a` at uniform `u`:
+    /// the logarithm that [`PhaseKernel::next_gap`] must equal.
+    #[cfg(test)]
+    fn gap(&self, a: usize, u: f64) -> u64 {
+        geometric_gap(u, self.cohort(a).gaps.scale())
+    }
 }
 
 /// The epoch `gap` epochs after `epoch`, saturated at `u32::MAX` for an
@@ -867,9 +892,8 @@ struct EpochCtx<'a> {
     /// The breaker tripped this epoch. Only a Settle pass knows: it then
     /// skips the draw loops whose writes the Recovery fill discards.
     tripped: bool,
-    /// Precomputed `1 / ln(p_cooling)` for [`geometric_gap`] cooling
-    /// durations.
-    cool_scale: f64,
+    /// Cooling durations, at scale `1 / ln(p_cooling)`.
+    cooling: &'a GapTable,
     decider: Option<&'a StaticDecider>,
     mode: KernelMode,
     /// Agents per chunk ([`RunOptions::chunk_agents`]).
@@ -890,9 +914,15 @@ struct EpochCtx<'a> {
 /// by the stream's own seed) splits into the alias-table bin and in-bin
 /// position draws, and a second turns into the next geometric gap.
 #[inline]
-fn advance_phases(ctx: &EpochCtx<'_>, base: usize, v: &mut LaneView<'_>, lo: usize, hi: usize) {
+fn advance_phases(
+    ctx: &EpochCtx<'_>,
+    base: usize,
+    v: &mut LaneView<'_>,
+    lo: usize,
+    hi: usize,
+    events: &mut [u32; EVENT_BLOCK],
+) {
     let epoch = u64::from(ctx.epoch);
-    let mut events = [0u32; EVENT_BLOCK];
     for start in (lo..hi).step_by(EVENT_BLOCK) {
         let end = (start + EVENT_BLOCK).min(hi);
         let mut m = 0;
@@ -905,7 +935,7 @@ fn advance_phases(ctx: &EpochCtx<'_>, base: usize, v: &mut LaneView<'_>, lo: usi
             let a = base + i;
             let key = ctx.phases.keys[a];
             v.phase[i] = ctx.phases.sample(a, key.word(epoch, 0));
-            v.next_change[i] = epoch_after(ctx.epoch, ctx.phases.gap(a, key.uniform(epoch, 1)));
+            v.next_change[i] = epoch_after(ctx.epoch, ctx.phases.next_gap(a, key.word(epoch, 1)));
         }
     }
 }
@@ -993,30 +1023,46 @@ fn decide<const FAULTS: bool>(
     lo: usize,
     hi: usize,
 ) {
-    let epoch = ctx.epoch;
     match decider {
         StaticDecider::AlwaysSprint => {
             for i in lo..hi {
-                v.sprinted[i] = may_decide::<FAULTS>(v, i, epoch);
+                v.sprinted[i] = may_decide::<FAULTS>(v, i, ctx.epoch);
             }
         }
+        StaticDecider::Uniform(t) => decide_by_threshold::<FAULTS>(ctx, base, v, lo, hi, |_| *t),
         StaticDecider::PerAgent(thresholds) => {
             // Global-agent indexing, sliced once; a mis-sized decider
             // panics here like `wants_sprint` would.
             let t = &thresholds[base + lo..base + hi];
-            match ctx.estimation {
-                UtilityEstimation::Oracle => {
-                    for (k, i) in (lo..hi).enumerate() {
-                        v.sprinted[i] = may_decide::<FAULTS>(v, i, epoch) & (v.phase[i] > t[k]);
-                    }
-                }
-                UtilityEstimation::Noisy { .. } => {
-                    for (k, i) in (lo..hi).enumerate() {
-                        v.sprinted[i] = may_decide::<FAULTS>(v, i, epoch)
-                            && estimate(ctx.estimation, ctx.draws, base + i, epoch, v.phase[i])
-                                > t[k];
-                    }
-                }
+            decide_by_threshold::<FAULTS>(ctx, base, v, lo, hi, |k| t[k]);
+        }
+    }
+}
+
+/// Pass B for a threshold rule: an agent that may decide sprints when
+/// its utility estimate clears `threshold(k)`, `k` counting lanes from
+/// `lo`.
+#[inline(always)]
+fn decide_by_threshold<const FAULTS: bool>(
+    ctx: &EpochCtx<'_>,
+    base: usize,
+    v: &mut LaneView<'_>,
+    lo: usize,
+    hi: usize,
+    threshold: impl Fn(usize) -> f64,
+) {
+    let epoch = ctx.epoch;
+    match ctx.estimation {
+        UtilityEstimation::Oracle => {
+            for (k, i) in (lo..hi).enumerate() {
+                v.sprinted[i] = may_decide::<FAULTS>(v, i, epoch) & (v.phase[i] > threshold(k));
+            }
+        }
+        UtilityEstimation::Noisy { .. } => {
+            for (k, i) in (lo..hi).enumerate() {
+                v.sprinted[i] = may_decide::<FAULTS>(v, i, epoch)
+                    && estimate(ctx.estimation, ctx.draws, base + i, epoch, v.phase[i])
+                        > threshold(k);
             }
         }
     }
@@ -1048,12 +1094,15 @@ fn settle<const FAULTS: bool>(
     lo: usize,
     hi: usize,
     st: &mut ChunkStats,
+    buf: &mut EventBuf,
 ) {
     use std::hint::select_unpredictable;
     let epoch = ctx.epoch;
     let stuck_plan = if FAULTS { ctx.plan.stuck } else { None };
-    let mut sprinters = [0u32; EVENT_BLOCK];
-    let mut gates = [0u32; EVENT_BLOCK];
+    let EventBuf {
+        agents: sprinters,
+        gates,
+    } = buf;
     for start in (lo..hi).step_by(EVENT_BLOCK) {
         let end = (start + EVENT_BLOCK).min(hi);
         let mut m = 0;
@@ -1113,8 +1162,8 @@ fn settle<const FAULTS: bool>(
             // Cooling duration, drawn once at sprint time: the same
             // geometric law as a per-epoch exit draw, so parked agents
             // cost one load and compare.
-            let u = ctx.draws.cooling.uniform(agent, u64::from(epoch), 0);
-            v.cool_until[i] = epoch_after(epoch, geometric_gap(u, ctx.cool_scale));
+            let w = ctx.draws.cooling.word(agent, u64::from(epoch), 0);
+            v.cool_until[i] = epoch_after(epoch, ctx.cooling.gap(w));
         }
         if let Some(s) = stuck_plan {
             for &k in &gates[..g] {
@@ -1125,13 +1174,23 @@ fn settle<const FAULTS: bool>(
                     // Cooling restarts from the release epoch; geometric
                     // memorylessness makes this the same law as resuming
                     // per-epoch exit draws.
-                    let u = ctx.draws.cooling.uniform(agent, u64::from(epoch), 0);
-                    v.cool_until[i] = epoch_after(epoch, geometric_gap(u, ctx.cool_scale));
+                    let w = ctx.draws.cooling.word(agent, u64::from(epoch), 0);
+                    v.cool_until[i] = epoch_after(epoch, ctx.cooling.gap(w));
                 }
             }
         }
     }
     st.occ_sprinting = st.n_sprinters;
+}
+
+/// The event-offset buffers of the block passes. A block reads only the
+/// entries it wrote, so one span pass zeroes them once for all its
+/// chunks.
+struct EventBuf {
+    /// Phase-change offsets (pass A), then sprinter offsets (pass C).
+    agents: [u32; EVENT_BLOCK],
+    /// Stuck-gate offsets (pass C).
+    gates: [u32; EVENT_BLOCK],
 }
 
 /// Run one chunk of agents through the passes of `ctx.mode`, writing its
@@ -1144,6 +1203,7 @@ fn run_chunk<const FAULTS: bool>(
     lo: usize,
     hi: usize,
     st: &mut ChunkStats,
+    buf: &mut EventBuf,
 ) {
     if ctx.mode == KernelMode::Settle {
         *st = ChunkStats {
@@ -1152,16 +1212,16 @@ fn run_chunk<const FAULTS: bool>(
             n_crashed: st.n_crashed,
             ..ChunkStats::default()
         };
-        settle::<FAULTS>(ctx, base, v, lo, hi, st);
+        settle::<FAULTS>(ctx, base, v, lo, hi, st, buf);
         return;
     }
     *st = ChunkStats::default();
-    advance_phases(ctx, base, v, lo, hi);
+    advance_phases(ctx, base, v, lo, hi, &mut buf.agents);
     churn(ctx, base, v, lo, hi, st);
     if ctx.mode == KernelMode::Fused {
         let decider = ctx.decider.expect("fused kernel requires a static decider");
         decide::<FAULTS>(ctx, decider, base, v, lo, hi);
-        settle::<FAULTS>(ctx, base, v, lo, hi, st);
+        settle::<FAULTS>(ctx, base, v, lo, hi, st, buf);
     }
 }
 
@@ -1170,13 +1230,17 @@ fn run_chunk<const FAULTS: bool>(
 /// instance of passes B and C.
 fn run_span(ctx: &EpochCtx<'_>, base: usize, v: &mut LaneView<'_>, stats: &mut [ChunkStats]) {
     let faults = ctx.plan.crash.is_some() || ctx.plan.stuck.is_some();
+    let mut buf = EventBuf {
+        agents: [0; EVENT_BLOCK],
+        gates: [0; EVENT_BLOCK],
+    };
     let mut lo = 0;
     for cs in stats.iter_mut() {
         let hi = (lo + ctx.chunk).min(v.len());
         if faults {
-            run_chunk::<true>(ctx, base, v, lo, hi, cs);
+            run_chunk::<true>(ctx, base, v, lo, hi, cs, &mut buf);
         } else {
-            run_chunk::<false>(ctx, base, v, lo, hi, cs);
+            run_chunk::<false>(ctx, base, v, lo, hi, cs, &mut buf);
         }
         lo = hi;
     }
@@ -1305,7 +1369,7 @@ struct PassConstants<'a> {
     draws: &'a Draws,
     phases: &'a PhaseKernel,
     estimation: UtilityEstimation,
-    cool_scale: f64,
+    cooling: &'a GapTable,
     decider: Option<&'a StaticDecider>,
     chunk: usize,
 }
@@ -1321,7 +1385,7 @@ impl<'a> PassConstants<'a> {
             estimation: self.estimation,
             rack_recovering: recovering,
             tripped,
-            cool_scale: self.cool_scale,
+            cooling: self.cooling,
             decider: self.decider,
             mode,
             chunk: self.chunk,
@@ -1675,7 +1739,7 @@ pub fn run_guarded(
     };
     // Exit prob is 1 - p_cooling, so ln(1 - p_exit) = ln(p_cooling);
     // p_cooling = 0 gives scale -0.0 and one-epoch cooldowns, correctly.
-    let cool_scale = config.game.p_cooling().ln().recip();
+    let cooling = GapTable::new(config.game.p_cooling().ln().recip());
     let p_recover_exit = 1.0 - config.game.p_recovery();
 
     // Telemetry gates, hoisted out of the hot loop: with a disabled kit
@@ -1712,7 +1776,7 @@ pub fn run_guarded(
         // First phase length, from the reserved setup coordinate.
         lanes.next_change[i] = epoch_after(
             0,
-            phases.gap(i, phases.keys[i].uniform(PHASE_SETUP_EPOCH, 0)),
+            phases.next_gap(i, phases.keys[i].word(PHASE_SETUP_EPOCH, 0)),
         );
     }
     let chunk = config.options.chunk_agents;
@@ -1746,7 +1810,7 @@ pub fn run_guarded(
         draws: &draws,
         phases: &phases,
         estimation: config.options.estimation,
-        cool_scale,
+        cooling: &cooling,
         decider: decider.as_ref(),
         chunk,
     };
@@ -2816,6 +2880,31 @@ mod tests {
                 direct.sample(u((w >> 32) as u32), u(w as u32)),
                 "agent {a}"
             );
+        }
+    }
+
+    #[test]
+    fn phase_kernel_keeps_a_cohort_lane_only_for_several_cohorts() {
+        // One cohort needs no lane; round-robin types keep it. Either
+        // way every table draw equals the logarithm's at the word's
+        // uniform.
+        for (benchmarks, lane) in [
+            (&[Benchmark::Svm][..], false),
+            (&[Benchmark::Svm, Benchmark::PageRank][..], true),
+        ] {
+            let streams = Population::heterogeneous(benchmarks, 6)
+                .unwrap()
+                .spawn_streams(5)
+                .unwrap();
+            let kernel = PhaseKernel::new(&streams);
+            assert_eq!(kernel.cohort_of.is_empty(), !lane, "{benchmarks:?}");
+            let rng = CounterRng::new(3, 4);
+            for a in 0..streams.len() {
+                for w in (0..2000).map(|e| rng.word(a as u64, e, 0)) {
+                    let u = (w >> 11) as f64 / (1u64 << 53) as f64;
+                    assert_eq!(kernel.next_gap(a, w), kernel.gap(a, u), "agent {a}");
+                }
+            }
         }
     }
 }

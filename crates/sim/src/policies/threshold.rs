@@ -16,36 +16,67 @@ use crate::SimError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdPolicy {
     name: &'static str,
-    /// Never mutated after [`ThresholdPolicy::new`]; shared with every
-    /// [`StaticDecider`] snapshot.
-    thresholds: Arc<[f64]>,
+    /// Never mutated after construction.
+    thresholds: Thresholds,
+}
+
+/// A threshold policy's thresholds, stored once when every agent shares
+/// one.
+#[derive(Debug, Clone, PartialEq)]
+enum Thresholds {
+    /// One threshold for all `agents`.
+    Uniform { threshold: f64, agents: usize },
+    /// One threshold per agent, shared with every [`StaticDecider`]
+    /// snapshot.
+    PerAgent(Arc<[f64]>),
 }
 
 impl ThresholdPolicy {
-    /// Create a policy from per-agent thresholds.
+    /// Create a policy from per-agent thresholds. Thresholds that all
+    /// agree bit for bit are stored once.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for an empty list or
     /// negative/non-finite thresholds.
     pub fn new(name: &'static str, thresholds: Vec<f64>) -> crate::Result<Self> {
-        if thresholds.is_empty() {
-            return Err(SimError::InvalidParameter {
-                name: "thresholds",
-                value: 0.0,
-                expected: "one threshold per agent",
-            });
+        let Some(&first) = thresholds.first() else {
+            return Err(no_thresholds());
+        };
+        if thresholds.iter().any(|&t| !valid(t)) {
+            return Err(invalid_threshold());
         }
-        if thresholds.iter().any(|&t| t < 0.0 || !t.is_finite()) {
-            return Err(SimError::InvalidParameter {
-                name: "thresholds",
-                value: f64::NAN,
-                expected: "non-negative finite thresholds",
-            });
+        let thresholds = if thresholds.iter().all(|t| t.to_bits() == first.to_bits()) {
+            Thresholds::Uniform {
+                threshold: first,
+                agents: thresholds.len(),
+            }
+        } else {
+            Thresholds::PerAgent(thresholds.into())
+        };
+        Ok(ThresholdPolicy { name, thresholds })
+    }
+
+    /// Create a policy where all `n_agents` agents share `threshold`,
+    /// without a per-agent list.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ThresholdPolicy::new`] on `n_agents` copies of
+    /// `threshold`.
+    pub fn common(name: &'static str, threshold: f64, n_agents: usize) -> crate::Result<Self> {
+        if n_agents == 0 {
+            return Err(no_thresholds());
+        }
+        if !valid(threshold) {
+            return Err(invalid_threshold());
         }
         Ok(ThresholdPolicy {
             name,
-            thresholds: thresholds.into(),
+            thresholds: Thresholds::Uniform {
+                threshold,
+                agents: n_agents,
+            },
         })
     }
 
@@ -66,13 +97,38 @@ impl ThresholdPolicy {
                 expected: "at least one agent",
             });
         }
-        ThresholdPolicy::new(name, vec![strategy.threshold(); n_agents])
+        ThresholdPolicy::common(name, strategy.threshold(), n_agents)
     }
 
-    /// The thresholds, one per agent.
+    /// The thresholds, one per agent (a shared threshold is copied out
+    /// once per agent).
     #[must_use]
-    pub fn thresholds(&self) -> &[f64] {
-        &self.thresholds
+    pub fn thresholds(&self) -> Vec<f64> {
+        match &self.thresholds {
+            Thresholds::Uniform { threshold, agents } => vec![*threshold; *agents],
+            Thresholds::PerAgent(thresholds) => thresholds.to_vec(),
+        }
+    }
+}
+
+/// A threshold [`ThresholdPolicy`] accepts.
+fn valid(threshold: f64) -> bool {
+    threshold >= 0.0 && threshold.is_finite()
+}
+
+fn no_thresholds() -> SimError {
+    SimError::InvalidParameter {
+        name: "thresholds",
+        value: 0.0,
+        expected: "one threshold per agent",
+    }
+}
+
+fn invalid_threshold() -> SimError {
+    SimError::InvalidParameter {
+        name: "thresholds",
+        value: f64::NAN,
+        expected: "non-negative finite thresholds",
     }
 }
 
@@ -82,25 +138,34 @@ impl SprintPolicy for ThresholdPolicy {
     }
 
     fn wants_sprint(&mut self, agent: usize, utility: f64) -> bool {
-        utility > self.thresholds[agent]
+        match &self.thresholds {
+            Thresholds::Uniform { threshold, .. } => utility > *threshold,
+            Thresholds::PerAgent(thresholds) => utility > thresholds[agent],
+        }
     }
 
     fn static_decider(&self) -> Option<StaticDecider> {
-        Some(StaticDecider::PerAgent(Arc::clone(&self.thresholds)))
+        Some(match &self.thresholds {
+            Thresholds::Uniform { threshold, .. } => StaticDecider::Uniform(*threshold),
+            Thresholds::PerAgent(thresholds) => StaticDecider::PerAgent(Arc::clone(thresholds)),
+        })
     }
 
     fn export_metrics(&self, registry: &mut sprint_telemetry::Registry) {
-        let lo = self
-            .thresholds
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let hi = self
-            .thresholds
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mean = self.thresholds.iter().sum::<f64>() / self.thresholds.len() as f64;
+        let (lo, hi, mean) = match &self.thresholds {
+            // The mean sums the copies, as a per-agent list would, so the
+            // gauge keeps its bits.
+            Thresholds::Uniform { threshold, agents } => (
+                *threshold,
+                *threshold,
+                std::iter::repeat_n(*threshold, *agents).sum::<f64>() / *agents as f64,
+            ),
+            Thresholds::PerAgent(t) => (
+                t.iter().copied().fold(f64::INFINITY, f64::min),
+                t.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                t.iter().sum::<f64>() / t.len() as f64,
+            ),
+        };
         let g = registry.gauge("policy.threshold.min");
         registry.set(g, lo);
         let g = registry.gauge("policy.threshold.max");

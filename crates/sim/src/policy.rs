@@ -65,6 +65,9 @@ impl std::fmt::Display for PolicyKind {
 pub enum StaticDecider {
     /// Sprint at every opportunity (Greedy).
     AlwaysSprint,
+    /// Sprint iff `utility > threshold`, one threshold for every agent
+    /// (C-T, and E-T on a population of one type).
+    Uniform(f64),
     /// Sprint iff `utility > thresholds[agent]` (E-T / C-T). Shared with
     /// the policy, so taking a snapshot copies no threshold.
     PerAgent(Arc<[f64]>),
@@ -77,6 +80,7 @@ impl StaticDecider {
     pub fn wants_sprint(&self, agent: usize, utility: f64) -> bool {
         match self {
             StaticDecider::AlwaysSprint => true,
+            StaticDecider::Uniform(threshold) => utility > *threshold,
             StaticDecider::PerAgent(thresholds) => utility > thresholds[agent],
         }
     }
@@ -142,6 +146,14 @@ mod tests {
         let per = StaticDecider::PerAgent(vec![2.0, 5.0].into());
         assert!(per.wants_sprint(0, 3.0));
         assert!(!per.wants_sprint(1, 3.0));
+    }
+
+    #[test]
+    fn uniform_decider_holds_every_agent_to_one_threshold() {
+        let uniform = StaticDecider::Uniform(2.0);
+        assert!(uniform.wants_sprint(7, 3.0));
+        assert!(!uniform.wants_sprint(7, 2.0));
+        assert!(!uniform.wants_sprint(1_000_000, 1.0));
     }
 
     #[test]

@@ -28,6 +28,9 @@ use crate::SimError;
 /// Grid resolution for utility densities used by offline solves.
 const DENSITY_BINS: usize = 512;
 
+/// The E-T policy's name.
+const EQUILIBRIUM: &str = "Equilibrium Threshold";
+
 /// A reproducible experiment setup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -255,7 +258,7 @@ impl Scenario {
     ) -> crate::Result<ThresholdPolicy> {
         let game = self.solve_game()?;
         let types = self.population.distinct_types();
-        let thresholds: Vec<f64> = if types.len() == 1 {
+        if types.len() == 1 {
             let threshold = match MeanFieldSolver::new(game)
                 .run(&types[0].utility_density(DENSITY_BINS)?, telemetry)
             {
@@ -265,7 +268,7 @@ impl Scenario {
                 }) => fallback_threshold,
                 Err(e) => return Err(e.into()),
             };
-            vec![threshold; self.population.len()]
+            ThresholdPolicy::common(EQUILIBRIUM, threshold, self.population.len())
         } else {
             let eq = MultiSolver::new(game).solve(&self.type_specs(&game)?)?;
             telemetry.emit(&Event::CoordinatorResolve {
@@ -275,9 +278,8 @@ impl Scenario {
                 residual: eq.residual(),
                 trip_probability: eq.trip_probability(),
             });
-            self.per_agent_thresholds(&eq)?
-        };
-        ThresholdPolicy::new("Equilibrium Threshold", thresholds)
+            ThresholdPolicy::new(EQUILIBRIUM, self.per_agent_thresholds(&eq)?)
+        }
     }
 
     /// [`Scenario::equilibrium_thresholds`] with the homogeneous solve
@@ -327,7 +329,7 @@ impl Scenario {
     ) -> crate::Result<(ThresholdPolicy, SolveSummary)> {
         let game = self.solve_game()?;
         let types = self.population.distinct_types();
-        let (thresholds, summary): (Vec<f64>, SolveSummary) = if types.len() == 1 {
+        if types.len() == 1 {
             let solver = MeanFieldSolver::new(game);
             // Warm-started: a fresh key seeds Algorithm 1 from the nearest
             // completed equilibrium already in the cache (sweep neighbors
@@ -363,7 +365,8 @@ impl Scenario {
                 ),
                 Err(e) => return Err(e.into()),
             };
-            (vec![threshold; self.population.len()], summary)
+            let policy = ThresholdPolicy::common(EQUILIBRIUM, threshold, self.population.len())?;
+            Ok((policy, summary))
         } else {
             let eq = MultiSolver::new(game).solve(&self.type_specs(&game)?)?;
             let summary = SolveSummary {
@@ -371,12 +374,9 @@ impl Scenario {
                 iterations: eq.iterations(),
                 residual: eq.residual(),
             };
-            (self.per_agent_thresholds(&eq)?, summary)
-        };
-        Ok((
-            ThresholdPolicy::new("Equilibrium Threshold", thresholds)?,
-            summary,
-        ))
+            let policy = ThresholdPolicy::new(EQUILIBRIUM, self.per_agent_thresholds(&eq)?)?;
+            Ok((policy, summary))
+        }
     }
 
     fn per_agent_thresholds(
