@@ -191,6 +191,11 @@ enum Completion {
     DeadlineExceeded { report: String, limit_ms: u64 },
 }
 
+/// What a worker runs for each job: [`jobs::execute`], or a stand-in
+/// under test.
+type Executor =
+    fn(&JobSpec, &EquilibriumCache, &ExecOptions, &mut Telemetry) -> crate::Result<JobReport>;
+
 struct Shared {
     table: Mutex<JobTable>,
     jobs_cv: Condvar,
@@ -208,6 +213,7 @@ struct Shared {
     /// Ring producer for daemon-side events (recovery, shedding,
     /// queued-job cancellation) — workers each own their own segment.
     events: Mutex<RingProducer>,
+    execute: Executor,
 }
 
 impl Shared {
@@ -526,26 +532,52 @@ fn worker_loop(shared: &Arc<Shared>, producer: RingProducer) {
             supervision: shared.opts.supervision.clone(),
             cancel: Some(token),
         };
-        let completion = match jobs::execute(&spec, &shared.cache, &opts, &mut telemetry) {
-            Ok(report) => match jobs::report_json(&report) {
-                Err(e) => Completion::Failed {
-                    error: e.to_string(),
-                },
-                Ok(bytes) => match report.outcome {
-                    JobOutcome::Cancelled => Completion::Cancelled { report: bytes },
-                    JobOutcome::DeadlineExceeded { limit_ms } => Completion::DeadlineExceeded {
-                        report: bytes,
-                        limit_ms,
-                    },
-                    _ => Completion::Done { report: bytes },
-                },
-            },
+        // A panicking job fails alone: the worker, and the table's count
+        // of running jobs, carry on.
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            complete(shared, &spec, &opts, &mut telemetry)
+        }));
+        let completion = run.unwrap_or_else(|payload| Completion::Failed {
+            error: format!("job panicked: {}", panic_message(payload.as_ref())),
+        });
+        finish(shared, id, completion, &mut telemetry);
+    }
+}
+
+/// Execute one job and classify how it ended.
+fn complete(
+    shared: &Shared,
+    spec: &JobSpec,
+    opts: &ExecOptions,
+    telemetry: &mut Telemetry,
+) -> Completion {
+    match (shared.execute)(spec, &shared.cache, opts, telemetry) {
+        Ok(report) => match jobs::report_json(&report) {
             Err(e) => Completion::Failed {
                 error: e.to_string(),
             },
-        };
-        finish(shared, id, completion, &mut telemetry);
+            Ok(bytes) => match report.outcome {
+                JobOutcome::Cancelled => Completion::Cancelled { report: bytes },
+                JobOutcome::DeadlineExceeded { limit_ms } => Completion::DeadlineExceeded {
+                    report: bytes,
+                    limit_ms,
+                },
+                _ => Completion::Done { report: bytes },
+            },
+        },
+        Err(e) => Completion::Failed {
+            error: e.to_string(),
+        },
     }
+}
+
+/// The message a panic was raised with, when it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload")
 }
 
 fn publish_snapshot(shared: &Shared, agg: &HealthAggregator, ring: &EventRing, started: Instant) {
@@ -1043,6 +1075,11 @@ impl Daemon {
     /// rewritten; [`ServeError::Job`] when the event log cannot be
     /// opened or the journal is corrupt mid-file.
     pub fn start(config: &ServeConfig) -> crate::Result<DaemonHandle> {
+        Daemon::start_with(config, jobs::execute)
+    }
+
+    /// [`Daemon::start`] with workers that run `execute` for each job.
+    fn start_with(config: &ServeConfig, execute: Executor) -> crate::Result<DaemonHandle> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(ServeError::io(format!("binding {}", config.addr)))?;
         let addr = listener
@@ -1105,6 +1142,7 @@ impl Daemon {
             limiter: Mutex::new(RateLimiter::default()),
             workers,
             events: Mutex::new(daemon_producer),
+            execute,
         });
         for (job, reexecuted) in recovered.announcements {
             shared.emit(&Event::JobRecovered { job, reexecuted });
@@ -1211,5 +1249,69 @@ impl DaemonHandle {
             let _ = aggregator.join();
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sprint_sim::PolicyKind;
+
+    use super::*;
+    use crate::jobs::RunSpec;
+
+    fn run_spec(seed: u64) -> JobSpec {
+        JobSpec::new(JobKind::Run {
+            spec: RunSpec {
+                benchmark: "decision".to_string(),
+                policy: PolicyKind::EquilibriumThreshold,
+                agents: 30,
+                epochs: 40,
+                seed,
+                jobs: None,
+            },
+        })
+    }
+
+    /// [`jobs::execute`], except that a run with seed 13 panics.
+    fn panics_on_seed_13(
+        spec: &JobSpec,
+        cache: &EquilibriumCache,
+        opts: &ExecOptions,
+        telemetry: &mut Telemetry,
+    ) -> crate::Result<JobReport> {
+        if matches!(&spec.job, JobKind::Run { spec } if spec.seed == 13) {
+            panic!("injected fault in seed 13");
+        }
+        jobs::execute(spec, cache, opts, telemetry)
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_its_worker_runs_the_next() {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let handle = Daemon::start_with(&config, panics_on_seed_13).unwrap();
+        let shared = &handle.shared;
+        let bad = shared.submit(run_spec(13), "test").unwrap();
+        match shared.wait_done(bad) {
+            Err(ServeError::Job(error)) => assert!(
+                error.contains("job panicked") && error.contains("injected fault in seed 13"),
+                "{error}"
+            ),
+            other => panic!("expected a failed job, got {other:?}"),
+        }
+        assert_eq!(shared.table.lock().unwrap().running, 0);
+        // The single worker survived the panic and completes the next job.
+        let good = shared.submit(run_spec(14), "test").unwrap();
+        let report = shared.wait_done(good).unwrap();
+        assert!(report.contains("\"Run\""), "{report}");
+        {
+            let table = shared.table.lock().unwrap();
+            assert_eq!((table.running, table.failed, table.completed), (0, 1, 1));
+        }
+        handle.drain().unwrap();
+        handle.join().unwrap();
     }
 }
