@@ -28,10 +28,10 @@
 //! - **Degradation ladder** ([`ControlTier`]): every agent holds a
 //!   valid threshold at every epoch. Preferred: a leased, freshly
 //!   solved equilibrium. If the coordinator is unreachable or its
-//!   solve fails ([`GameError::NonConvergence`] under an iteration
-//!   budget), the agent runs its last assignment stamped stale; past a
-//!   grace window it falls to the provably breaker-safe conservative
-//!   threshold. Each rung transition emits one typed
+//!   solve fails ([`sprint_game::GameError::NonConvergence`] under an
+//!   iteration budget), the agent runs its last assignment stamped
+//!   stale; past a grace window it falls to the provably breaker-safe
+//!   conservative threshold. Each rung transition emits one typed
 //!   [`Event::TierShift`], and the climb back to the equilibrium tier
 //!   is measured into a recovery-latency histogram.
 //!

@@ -259,10 +259,10 @@ impl std::error::Error for RecorderError {
 
 /// A size-rotating, buffered JSON Lines file sink.
 ///
-/// Events stream through an internal [`BufWriter`]; when the active file
-/// would exceed `max_bytes` it is flushed and rotated into numbered
-/// backups (`trace.jsonl.1` is the newest backup, `.2` older, up to
-/// `keep`), and a fresh active file is opened. Failures are typed
+/// Events stream through an internal [`std::io::BufWriter`]; when the
+/// active file would exceed `max_bytes` it is flushed and rotated into
+/// numbered backups (`trace.jsonl.1` is the newest backup, `.2` older,
+/// up to `keep`), and a fresh active file is opened. Failures are typed
 /// ([`RecorderError`]), counted in [`RotatingJsonl::dropped`], and
 /// surfaced — never panics, never silent truncation.
 #[derive(Debug)]
