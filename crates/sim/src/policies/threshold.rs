@@ -41,10 +41,18 @@ impl ThresholdPolicy {
     /// negative/non-finite thresholds.
     pub fn new(name: &'static str, thresholds: Vec<f64>) -> crate::Result<Self> {
         let Some(&first) = thresholds.first() else {
-            return Err(no_thresholds());
+            return Err(SimError::InvalidParameter {
+                name: "thresholds",
+                value: 0.0,
+                expected: "one threshold per agent",
+            });
         };
-        if thresholds.iter().any(|&t| !valid(t)) {
-            return Err(invalid_threshold());
+        if thresholds.iter().any(|&t| t < 0.0 || !t.is_finite()) {
+            return Err(SimError::InvalidParameter {
+                name: "thresholds",
+                value: f64::NAN,
+                expected: "non-negative finite thresholds",
+            });
         }
         let thresholds = if thresholds.iter().all(|t| t.to_bits() == first.to_bits()) {
             Thresholds::Uniform {
@@ -57,30 +65,8 @@ impl ThresholdPolicy {
         Ok(ThresholdPolicy { name, thresholds })
     }
 
-    /// Create a policy where all `n_agents` agents share `threshold`,
-    /// without a per-agent list.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ThresholdPolicy::new`] on `n_agents` copies of
-    /// `threshold`.
-    pub fn common(name: &'static str, threshold: f64, n_agents: usize) -> crate::Result<Self> {
-        if n_agents == 0 {
-            return Err(no_thresholds());
-        }
-        if !valid(threshold) {
-            return Err(invalid_threshold());
-        }
-        Ok(ThresholdPolicy {
-            name,
-            thresholds: Thresholds::Uniform {
-                threshold,
-                agents: n_agents,
-            },
-        })
-    }
-
-    /// Create a policy where every agent shares one strategy.
+    /// Create a policy where every agent shares one strategy, stored
+    /// once.
     ///
     /// # Errors
     ///
@@ -97,7 +83,13 @@ impl ThresholdPolicy {
                 expected: "at least one agent",
             });
         }
-        ThresholdPolicy::common(name, strategy.threshold(), n_agents)
+        Ok(ThresholdPolicy {
+            name,
+            thresholds: Thresholds::Uniform {
+                threshold: strategy.threshold(),
+                agents: n_agents,
+            },
+        })
     }
 
     /// The thresholds, one per agent (a shared threshold is copied out
@@ -108,27 +100,6 @@ impl ThresholdPolicy {
             Thresholds::Uniform { threshold, agents } => vec![*threshold; *agents],
             Thresholds::PerAgent(thresholds) => thresholds.to_vec(),
         }
-    }
-}
-
-/// A threshold [`ThresholdPolicy`] accepts.
-fn valid(threshold: f64) -> bool {
-    threshold >= 0.0 && threshold.is_finite()
-}
-
-fn no_thresholds() -> SimError {
-    SimError::InvalidParameter {
-        name: "thresholds",
-        value: 0.0,
-        expected: "one threshold per agent",
-    }
-}
-
-fn invalid_threshold() -> SimError {
-    SimError::InvalidParameter {
-        name: "thresholds",
-        value: f64::NAN,
-        expected: "non-negative finite thresholds",
     }
 }
 

@@ -8,7 +8,7 @@
 
 use sprint_game::cooperative::CooperativeSearch;
 use sprint_game::multi::{AgentTypeSpec, MultiSolver};
-use sprint_game::{EquilibriumCache, GameConfig, GameError, MeanFieldSolver};
+use sprint_game::{EquilibriumCache, GameConfig, GameError, MeanFieldSolver, ThresholdStrategy};
 use sprint_stats::density::DiscreteDensity;
 use sprint_workloads::generator::Population;
 use sprint_workloads::phases::PhasedUtility;
@@ -268,7 +268,8 @@ impl Scenario {
                 }) => fallback_threshold,
                 Err(e) => return Err(e.into()),
             };
-            ThresholdPolicy::common(EQUILIBRIUM, threshold, self.population.len())
+            let strategy = ThresholdStrategy::new(threshold)?;
+            ThresholdPolicy::uniform(EQUILIBRIUM, strategy, self.population.len())
         } else {
             let eq = MultiSolver::new(game).solve(&self.type_specs(&game)?)?;
             telemetry.emit(&Event::CoordinatorResolve {
@@ -365,7 +366,8 @@ impl Scenario {
                 ),
                 Err(e) => return Err(e.into()),
             };
-            let policy = ThresholdPolicy::common(EQUILIBRIUM, threshold, self.population.len())?;
+            let strategy = ThresholdStrategy::new(threshold)?;
+            let policy = ThresholdPolicy::uniform(EQUILIBRIUM, strategy, self.population.len())?;
             Ok((policy, summary))
         } else {
             let eq = MultiSolver::new(game).solve(&self.type_specs(&game)?)?;
