@@ -27,6 +27,10 @@
 //!   not allocate more often: the count follows cohorts and threads;
 //! - warm-started Algorithm 1 (`EquilibriumCache::solve_warm`) cuts mean
 //!   iterations per cell ≥ `MIN_WARM_RATIO`× across a parameter ladder;
+//! - `gap_draw` rows time one geometric draw through a `GapTable` and
+//!   through the logarithm it replaces, at the svm phase scale and the
+//!   paper's cooling scale, and time the table's build; both routes must
+//!   return the same gaps;
 //! - on a multi-core host, the parallel speedup must not regress below
 //!   90% of the value recorded by the previous multi-core run of this
 //!   bench (read from the existing `BENCH_engine.json` before it is
@@ -51,7 +55,7 @@ use sprint_sim::policy::SprintPolicy;
 use sprint_sim::telemetry::Telemetry;
 use sprint_stats::density::DiscreteDensity;
 use sprint_stats::dist::ContinuousDistribution;
-use sprint_stats::rng::{seeded_rng, SeedSequence};
+use sprint_stats::rng::{geometric_gap, seeded_rng, CounterRng, GapTable, SeedSequence};
 use sprint_workloads::generator::Population;
 use sprint_workloads::phases::{PhasedUtility, DEFAULT_PERSISTENCE_EPOCHS, PHASE_SAMPLE_BINS};
 use sprint_workloads::Benchmark;
@@ -85,9 +89,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// ~19-20 ns/agent-epoch vs ~75-105 ns for the faithful reference loop,
 /// a 5.2-5.5x serial speedup. The kernel collects its phase events and
 /// sprinters without branching, so what it pays per event is mostly the
-/// draws themselves: two counter words, an alias sample and an `ln` per
-/// phase change, a counter word and an `ln` per sprint. The reference
-/// pays those too, with a branch per agent. The reference's own rate
+/// draws themselves: two counter words, an alias sample and a gap-table
+/// search per phase change, a counter word and a gap-table search per
+/// sprint. The reference pays an `ln` for each gap, and a branch per
+/// agent. The reference's own rate
 /// swings by about a third between runs on that host, so the ratio does
 /// too. The floor sits below every measurement with margin for CI-runner
 /// noise.
@@ -499,6 +504,49 @@ fn prior_baseline(path: &std::path::Path) -> Option<(u64, f64)> {
     Some((cores, speedup))
 }
 
+/// Nanoseconds per draw of `draw` over `words`, and the sum of the
+/// draws (so both routes can be checked against each other).
+fn ns_per_draw(words: &[u64], draw: impl Fn(u64) -> u64) -> (f64, u64) {
+    let t0 = Instant::now();
+    let sum = words.iter().fold(0u64, |acc, &w| {
+        acc.wrapping_add(draw(std::hint::black_box(w)))
+    });
+    (t0.elapsed().as_secs_f64() * 1e9 / words.len() as f64, sum)
+}
+
+/// One `gap_draw` row: the best-of-`reps` ns per draw through the table
+/// and through the logarithm, legs interleaved, plus microseconds per
+/// table build.
+fn gap_draw_row(name: &str, scale: f64, words: &[u64], reps: usize) -> String {
+    let table = GapTable::new(scale);
+    let unit = 1.0 / (1u64 << 53) as f64;
+    let (mut table_ns, mut ln_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let (ns, by_table) = ns_per_draw(words, |w| table.gap(w));
+        table_ns = table_ns.min(ns);
+        let (ns, by_ln) = ns_per_draw(words, |w| geometric_gap((w >> 11) as f64 * unit, scale));
+        ln_ns = ln_ns.min(ns);
+        assert_eq!(by_table, by_ln, "{name}: the table and ln disagree");
+    }
+    let builds = 1000;
+    let t0 = Instant::now();
+    for _ in 0..builds {
+        std::hint::black_box(GapTable::new(std::hint::black_box(scale)));
+    }
+    let build_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(builds);
+    let entries = table.bounds().len();
+    println!(
+        "  gap draw  {name}: table {table_ns:.2} ns, ln {ln_ns:.2} ns \
+         ({entries} entries, build {build_us:.1} us)"
+    );
+    format!(
+        "    {{\"scale\": \"{name}\", \"gap_scale\": {scale:.6}, \"entries\": {entries}, \
+         \"draws\": {}, \"table_ns_per_draw\": {table_ns:.3}, \"ln_ns_per_draw\": {ln_ns:.3}, \
+         \"build_us\": {build_us:.2}}}",
+        words.len()
+    )
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     // The gate size stays in every mode: both speedup gates are evaluated
@@ -717,6 +765,23 @@ fn main() {
         ));
     }
 
+    // Geometric draws: the svm phase scale and the paper's cooling scale
+    // over one set of counter words.
+    let rng = CounterRng::new(SEED, 0);
+    let words: Vec<u64> = (0..1_000_000).map(|i| rng.word(i, 0, 0)).collect();
+    let gap_rows = [
+        (
+            "svm phase",
+            (1.0 - 1.0 / DEFAULT_PERSISTENCE_EPOCHS).ln().recip(),
+        ),
+        (
+            "paper cooling",
+            GameConfig::paper_defaults().p_cooling().ln().recip(),
+        ),
+    ]
+    .map(|(name, scale)| gap_draw_row(name, scale, &words, reps))
+    .join(",\n");
+
     let warm_cells = if quick { 6 } else { 12 };
     let (cold_iters, warm_iters) = warm_start_ratio(warm_cells);
     let warm_ratio = cold_iters / warm_iters.max(1e-9);
@@ -741,6 +806,7 @@ fn main() {
          \"spawn\": [\n{spawn_rows}\n  ],\n  \
          \"spawn_alloc_agents\": {SPAWN_ALLOC_AGENTS},\n  \
          \"spawn_allocs\": [\n{spawn_alloc_rows}\n  ],\n  \
+         \"gap_draw\": [\n{gap_rows}\n  ],\n  \
          \"byte_identical_across_jobs\": true,\n  \
          \"serial_speedup\": {serial_speedup:.4},\n  \
          \"min_serial_speedup\": {MIN_SERIAL_SPEEDUP},\n  \
