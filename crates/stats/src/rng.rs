@@ -109,6 +109,13 @@ pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
+/// The step of the counter uniforms' grid: [`CounterRng::uniform`] is
+/// `m · 2⁻⁵³` for the 53-bit grid index `m = word >> 11`.
+const GRID_STEP: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// One past the largest grid index.
+const GRID_END: u64 = 1 << 53;
+
 /// Finalize a 64-bit word through the SplitMix64 avalanche function
 /// (without the additive state step).
 #[inline]
@@ -174,7 +181,7 @@ impl CounterRng {
     #[inline]
     #[must_use]
     pub fn uniform(&self, agent: u64, epoch: u64, slot: u64) -> f64 {
-        (self.word(agent, epoch, slot) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.word(agent, epoch, slot) >> 11) as f64 * GRID_STEP
     }
 
     /// An unbiased-enough index in `[0, n)` via fixed-point 128-bit
@@ -233,16 +240,9 @@ impl CounterLane {
     #[inline]
     #[must_use]
     pub fn uniform(&self, epoch: u64, slot: u64) -> f64 {
-        (self.word(epoch, slot) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.word(epoch, slot) >> 11) as f64 * GRID_STEP
     }
 }
-
-/// The step of the counter uniforms' grid: [`CounterRng::uniform`] is
-/// `m · 2⁻⁵³` for the 53-bit grid index `m = word >> 11`.
-const GRID_STEP: f64 = 1.0 / (1u64 << 53) as f64;
-
-/// One past the largest grid index.
-const GRID_END: u64 = 1 << 53;
 
 /// A geometric variate on `{1, 2, ...}` by inversion of one uniform:
 /// `1 + floor(ln(1-u) · scale)` with `scale = 1 / ln(q)`, where `q` is
@@ -333,28 +333,34 @@ impl GapTable {
     /// The table for `scale = 1 / ln(q)`, as in [`geometric_gap`].
     #[must_use]
     pub fn new(scale: f64) -> GapTable {
-        let mut table = GapTable {
+        GapTable::build(scale).unwrap_or(GapTable {
             bounds: [u64::MAX; GapTable::CAPACITY],
             limit: 0,
             scale,
-        };
+        })
+    }
+
+    /// The checked table, or `None` when it cannot be shown to equal
+    /// [`geometric_gap`].
+    fn build(scale: f64) -> Option<GapTable> {
         if !(scale.is_finite() && scale <= 0.0) {
-            return table;
+            return None;
         }
         // q^k ≤ 2⁻²⁰ from k = 20·ln 2·|s| on.
         let entries = (-20.0 * std::f64::consts::LN_2 * scale)
             .ceil()
             .clamp(1.0, GapTable::CAPACITY as f64) as usize;
+        let mut table = GapTable {
+            bounds: [u64::MAX; GapTable::CAPACITY],
+            limit: 0,
+            scale,
+        };
         for j in 0..entries {
-            let gap = j as u64 + 2;
             // The gap reaches k + 1 where u ≥ 1 − e^{k/s}; a grid index of
             // 2⁵³ means it never does.
             let k = (j + 1) as f64;
             let seed = (-(k / scale).exp_m1() * GRID_END as f64).ceil();
-            let Some(bound) = GapTable::first_reaching(seed as u64, gap, scale) else {
-                return table;
-            };
-            table.bounds[j] = bound;
+            table.bounds[j] = GapTable::first_reaching(seed as u64, j as u64 + 2, scale)?;
         }
         table.limit = table.bounds[entries - 1];
         let bounds = &table.bounds[..entries];
@@ -364,11 +370,7 @@ impl GapTable {
                 let hi = (b + GapTable::WINDOW).min(table.limit);
                 (lo..hi).all(|m| table.lookup(m) == gap_at(m, scale))
             });
-        if !agrees {
-            table.bounds = [u64::MAX; GapTable::CAPACITY];
-            table.limit = 0;
-        }
-        table
+        agrees.then_some(table)
     }
 
     /// The first grid index whose gap is at least `gap`, walked to from
