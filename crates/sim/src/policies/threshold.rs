@@ -172,4 +172,28 @@ mod tests {
         let p = ThresholdPolicy::uniform("C-T", s, 3).unwrap();
         assert_eq!(p.thresholds(), &[4.0, 4.0, 4.0]);
     }
+
+    #[test]
+    fn a_shared_threshold_is_stored_once_and_reports_like_a_list() {
+        let listed = ThresholdPolicy::new("E-T", vec![0.1; 3]).unwrap();
+        let shared =
+            ThresholdPolicy::uniform("E-T", ThresholdStrategy::new(0.1).unwrap(), 3).unwrap();
+        assert_eq!(listed, shared);
+        assert_eq!(shared.static_decider(), Some(StaticDecider::Uniform(0.1)));
+        // The mean sums three copies, as a list would: 0.1 + 0.1 + 0.1
+        // is not 0.3 in f64, so the gauge is not the threshold itself.
+        let mut registry = sprint_telemetry::Registry::new();
+        shared.export_metrics(&mut registry);
+        let mean = registry.gauge_value("policy.threshold.mean").unwrap();
+        assert_eq!(
+            mean.to_bits(),
+            ([0.1; 3].iter().sum::<f64>() / 3.0).to_bits()
+        );
+        assert_ne!(mean, 0.1);
+        let mixed = ThresholdPolicy::new("E-T", vec![0.1, 0.2]).unwrap();
+        assert!(matches!(
+            mixed.static_decider(),
+            Some(StaticDecider::PerAgent(_))
+        ));
+    }
 }
