@@ -3,12 +3,17 @@
 //! The in-memory and JSONL recorders are fine for post-run analysis but
 //! wrong for live observation: one grows without bound, the other blocks
 //! on I/O in the emitting thread. The [`EventRing`] is the third shape —
-//! a fixed set of preallocated single-producer segments, one per
-//! emitting thread, drained by exactly one consumer. Producers never
-//! contend with each other (each owns its segment exclusively) and never
-//! block or allocate on the hot path for fixed-size events; when a
-//! segment is full the event is counted in an explicit drop counter
+//! a fixed set of bounded single-producer segments, one per emitting
+//! thread, drained by exactly one consumer. Producers never contend with
+//! each other (each owns its segment exclusively) and never block; when
+//! a segment is full the event is counted in an explicit drop counter
 //! instead of silently truncating or stalling the epoch loop.
+//!
+//! A segment's slots are committed a block of [`RING_BLOCK_SLOTS`] at a
+//! time, by the producer, when it first reaches the block: a ring sized
+//! for a long run costs memory only for the slots its producers have
+//! used. After that a slot write allocates nothing for fixed-size
+//! events.
 //!
 //! Each producer is a [`RingProducer`], a [`Recorder`] that can back a
 //! [`Telemetry`](crate::Telemetry) kit directly. Filtering happens at
@@ -25,7 +30,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::event::{Event, EventKind, Severity};
 use crate::recorder::Recorder;
@@ -34,7 +39,8 @@ use crate::registry::Registry;
 /// Tuning for an [`EventRing`].
 #[derive(Debug, Clone)]
 pub struct RingConfig {
-    /// Slots preallocated per producer segment.
+    /// Slots per producer segment, committed a block at a time as the
+    /// producer first reaches them.
     pub capacity: usize,
     /// Minimum severity a producer accepts; quieter kinds are rejected
     /// at the `wants` gate so emitters skip event construction entirely.
@@ -47,6 +53,12 @@ pub struct RingConfig {
 /// Default segment capacity: enough for a full 100k-epoch run of
 /// Info-and-louder engine events without dropping.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 17;
+
+/// Slots per lazily committed block of a segment. A segment whose
+/// capacity is not a multiple of this ends in a shorter block.
+pub const RING_BLOCK_SLOTS: usize = 4096;
+
+type Slot = UnsafeCell<Option<Event>>;
 
 impl Default for RingConfig {
     fn default() -> Self {
@@ -90,7 +102,13 @@ impl RingConfig {
 /// positions, reduced modulo capacity at access time, so `tail - head`
 /// is the live occupancy.
 struct Segment {
-    slots: Box<[UnsafeCell<Option<Event>>]>,
+    /// Slots `b * RING_BLOCK_SLOTS ..` of the segment, one block per
+    /// entry. The producer commits a block (allocates it, every slot
+    /// empty) when it first writes into it; a block is never replaced or
+    /// freed before the segment drops.
+    blocks: Box<[OnceLock<Box<[Slot]>>]>,
+    /// Slots in the segment.
+    capacity: usize,
     /// Next write position. Written by the producer (Release), read by
     /// the consumer (Acquire).
     tail: AtomicUsize,
@@ -110,19 +128,54 @@ struct Segment {
 // write before the read. Producer uniqueness is enforced by handing out
 // each `RingProducer` exactly once; consumer uniqueness by
 // `EventRing::drain` taking `&mut self` on a non-clonable ring.
+//
+// The `blocks` field shares the same discipline. Only the producer
+// commits a block (`OnceLock::get_or_init`), before it writes the
+// block's first slot and so before the Release store of `tail` that
+// publishes the slot. The consumer reaches a block only through
+// `OnceLock::get`, and only for positions below a `tail` it loaded with
+// Acquire, so every block it reads was committed, and the commit
+// happens-before the read. A committed block never moves or frees while
+// the segment lives, so a slot reference taken from it stays valid.
 unsafe impl Sync for Segment {}
 
 impl Segment {
     fn new(capacity: usize) -> Self {
-        let slots: Vec<UnsafeCell<Option<Event>>> =
-            (0..capacity).map(|_| UnsafeCell::new(None)).collect();
         Segment {
-            slots: slots.into_boxed_slice(),
+            blocks: (0..capacity.div_ceil(RING_BLOCK_SLOTS))
+                .map(|_| OnceLock::new())
+                .collect(),
+            capacity,
             tail: AtomicUsize::new(0),
             head: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
             published: AtomicU64::new(0),
         }
+    }
+
+    /// The block and the offset in it of position `pos`.
+    fn locate(&self, pos: usize) -> (usize, usize) {
+        let slot = pos % self.capacity;
+        (slot / RING_BLOCK_SLOTS, slot % RING_BLOCK_SLOTS)
+    }
+
+    /// The slot of position `pos`, committing its block on first use.
+    /// Only the producer calls this.
+    fn slot_to_write(&self, pos: usize) -> &Slot {
+        let (b, k) = self.locate(pos);
+        let len = RING_BLOCK_SLOTS.min(self.capacity - b * RING_BLOCK_SLOTS);
+        &self.blocks[b].get_or_init(|| (0..len).map(|_| UnsafeCell::new(None)).collect())[k]
+    }
+
+    /// The slot of position `pos`, if its block is committed.
+    fn committed_slot(&self, pos: usize) -> Option<&Slot> {
+        let (b, k) = self.locate(pos);
+        self.blocks[b].get().map(|block| &block[k])
+    }
+
+    #[cfg(test)]
+    fn committed_blocks(&self) -> usize {
+        self.blocks.iter().filter(|b| b.get().is_some()).count()
     }
 }
 
@@ -184,15 +237,17 @@ impl EventRing {
     pub fn drain(&mut self) -> Vec<Event> {
         let mut out = Vec::new();
         for seg in &self.shared.segments {
-            let capacity = seg.slots.len();
             let mut h = seg.head.load(Ordering::Relaxed);
             let tail = seg.tail.load(Ordering::Acquire);
             while h != tail {
-                // SAFETY: `h < tail` means the producer published this
-                // slot (Release/Acquire on `tail`) and cannot rewrite it
-                // until `head` passes it.
-                let slot = unsafe { (*seg.slots[h % capacity].get()).take() };
-                if let Some(event) = slot {
+                // SAFETY: `h < tail` means the producer committed this
+                // slot's block and published the slot (Release/Acquire
+                // on `tail`), and it cannot rewrite the slot until `head`
+                // passes it.
+                let event = seg
+                    .committed_slot(h)
+                    .and_then(|slot| unsafe { (*slot.get()).take() });
+                if let Some(event) = event {
                     out.push(event);
                 }
                 h = h.wrapping_add(1);
@@ -236,6 +291,12 @@ impl EventRing {
     #[must_use]
     pub fn producers(&self) -> usize {
         self.shared.segments.len()
+    }
+
+    /// Blocks committed in one producer's segment.
+    #[cfg(test)]
+    fn committed_blocks(&self, producer: usize) -> usize {
+        self.shared.segments[producer].committed_blocks()
     }
 
     /// Mirror the ring's accounting into a registry: `ring.published`,
@@ -325,10 +386,9 @@ impl Recorder for RingProducer {
             }
         }
         let seg = &self.shared.segments[self.segment];
-        let capacity = seg.slots.len();
         let tail = seg.tail.load(Ordering::Relaxed);
         let head = seg.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= capacity {
+        if tail.wrapping_sub(head) >= seg.capacity {
             // Full: count the loss explicitly rather than blocking the
             // epoch loop or overwriting unconsumed telemetry.
             seg.dropped.fetch_add(1, Ordering::Relaxed);
@@ -336,9 +396,11 @@ impl Recorder for RingProducer {
         }
         // SAFETY: this is the unique producer for the segment, and the
         // occupancy check above guarantees the consumer is not reading
-        // slot `tail % capacity`.
+        // slot `tail % capacity`; its block is committed before the
+        // `tail` store below publishes it.
+        let slot = seg.slot_to_write(tail);
         unsafe {
-            *seg.slots[tail % capacity].get() = Some(event.clone());
+            *slot.get() = Some(event.clone());
         }
         seg.tail.store(tail.wrapping_add(1), Ordering::Release);
         seg.published.fetch_add(1, Ordering::Relaxed);
@@ -515,6 +577,99 @@ mod tests {
                 other => panic!("unexpected event {other:?}"),
             }
         }
+    }
+
+    /// The epochs of `events`, which must all be ticks.
+    fn epochs(events: &[Event]) -> Vec<usize> {
+        events
+            .iter()
+            .map(|e| match e {
+                Event::EpochTick { epoch, .. } => *epoch,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_block_is_committed_when_the_producer_first_reaches_it() {
+        let config = RingConfig::default().with_capacity(3 * RING_BLOCK_SLOTS);
+        let (mut ring, mut producers) = EventRing::with_config(1, &config);
+        assert_eq!(ring.committed_blocks(0), 0, "nothing is committed at build");
+        let p = &mut producers[0];
+        let mut published = 0;
+        for (k, blocks) in [
+            (1, 1),
+            (RING_BLOCK_SLOTS, 1),
+            (RING_BLOCK_SLOTS + 1, 2),
+            (2 * RING_BLOCK_SLOTS, 2),
+            (2 * RING_BLOCK_SLOTS + 1, 3),
+        ] {
+            while published < k {
+                p.record(&tick(published));
+                published += 1;
+            }
+            assert_eq!(ring.committed_blocks(0), blocks, "after {k} publishes");
+        }
+        // Draining frees slots, not blocks: a committed block is reused.
+        assert_eq!(ring.drain().len(), published);
+        p.record(&tick(0));
+        assert_eq!(ring.committed_blocks(0), 3);
+    }
+
+    #[test]
+    fn wrap_around_crosses_blocks_in_fifo_order_with_drops_counted() {
+        // Not a multiple of the block: the last block holds 5 slots.
+        let capacity = RING_BLOCK_SLOTS + 5;
+        let config = RingConfig::default().with_capacity(capacity);
+        let (mut ring, mut producers) = EventRing::with_config(1, &config);
+        let p = &mut producers[0];
+        for epoch in 0..100 {
+            p.record(&tick(epoch));
+        }
+        assert_eq!(epochs(&ring.drain()), (0..100).collect::<Vec<_>>());
+        // Positions 100.. run to the end of the short block, wrap into
+        // block 0 and stop at the capacity; the rest drop.
+        for epoch in 100..100 + capacity + 7 {
+            p.record(&tick(epoch));
+        }
+        assert_eq!(ring.dropped(), 7);
+        assert_eq!(ring.published(), (100 + capacity) as u64);
+        assert_eq!(ring.committed_blocks(0), 2);
+        assert_eq!(
+            epochs(&ring.drain()),
+            (100..100 + capacity).collect::<Vec<_>>()
+        );
+        // A full lap later the segment still holds exactly its capacity.
+        for epoch in 0..capacity + 1 {
+            p.record(&tick(epoch));
+        }
+        assert_eq!(ring.dropped(), 8);
+        assert_eq!(epochs(&ring.drain()), (0..capacity).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_capacity_below_one_block_commits_only_its_own_slots() {
+        let config = RingConfig::default().with_capacity(3);
+        let (mut ring, mut producers) = EventRing::with_config(1, &config);
+        let p = &mut producers[0];
+        for epoch in 0..5 {
+            p.record(&tick(epoch));
+        }
+        assert_eq!(ring.committed_blocks(0), 1);
+        assert_eq!(ring.shared.segments[0].blocks[0].get().unwrap().len(), 3);
+        assert_eq!(ring.dropped(), 2);
+        assert_eq!(epochs(&ring.drain()), [0, 1, 2]);
+    }
+
+    #[test]
+    fn draining_untouched_segments_commits_nothing() {
+        let (mut ring, mut producers) = EventRing::new(3);
+        assert!(ring.drain().is_empty());
+        producers[1].record(&tick(4));
+        assert_eq!(epochs(&ring.drain()), [4]);
+        assert!(ring.drain().is_empty());
+        let committed: Vec<usize> = (0..3).map(|i| ring.committed_blocks(i)).collect();
+        assert_eq!(committed, [0, 1, 0]);
     }
 
     #[test]
