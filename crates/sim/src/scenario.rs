@@ -17,7 +17,7 @@ use sprint_workloads::Benchmark;
 use sprint_telemetry::{Event, Telemetry};
 
 use crate::engine::{
-    self, RecoverySemantics, RunOptions, SimConfig, TripInterruption, UtilityEstimation,
+    self, PhaseTrack, RecoverySemantics, RunOptions, SimConfig, TripInterruption, UtilityEstimation,
 };
 use crate::faults::FaultPlan;
 use crate::metrics::SimResult;
@@ -493,11 +493,12 @@ impl Scenario {
         telemetry: &mut Telemetry,
     ) -> crate::Result<SimResult> {
         let mut streams = self.population.spawn_streams_jobs(seed, jobs)?;
-        self.execute_on(&mut streams, kind, seed, jobs, telemetry)
+        self.execute_on(&mut streams, kind, seed, jobs, telemetry, None)
     }
 
     /// [`Scenario::execute`] on `streams` already built for `seed`, so a
-    /// trial pool can run every policy of a seed on one build.
+    /// trial pool can run every policy of a seed on one build, replaying
+    /// `track`, the streams' recorded phase trajectory, when there is one.
     pub(crate) fn execute_on(
         &self,
         streams: &mut [PhasedUtility],
@@ -505,6 +506,7 @@ impl Scenario {
         seed: u64,
         jobs: usize,
         telemetry: &mut Telemetry,
+        track: Option<&PhaseTrack>,
     ) -> crate::Result<SimResult> {
         let config = SimConfig::new(self.game, self.epochs, seed)?.with_options(self.options);
         let solve_span = telemetry.enabled().then(|| telemetry.spans.start());
@@ -512,13 +514,14 @@ impl Scenario {
         if let Some(start) = solve_span {
             telemetry.spans.end("scenario.solve", start);
         }
-        engine::run_guarded(
+        engine::run_replaying(
             &config,
             streams,
             policy.as_mut(),
             &engine::RunGuard::default(),
             jobs,
             telemetry,
+            track,
         )
     }
 }
