@@ -1,8 +1,9 @@
 //! Sweep-engine smoke check (not a criterion bench).
 //!
-//! Runs a seeds-heavy sweep through the unified `run_sweep` entry point
-//! twice — serial (`jobs = 1`) and parallel (`jobs = 4`) — and enforces
-//! the tentpole contracts:
+//! Runs a seeds-heavy sweep through the one sweep entry point,
+//! `run_sweep_shared`, twice — serial (`jobs = 1`) and parallel
+//! (`jobs = 4`), each on a fresh equilibrium cache — and enforces the
+//! tentpole contracts:
 //!
 //! - the two reports serialize to byte-identical JSON;
 //! - repeated game configs hit the equilibrium cache (≥ 90 % hit rate);
@@ -21,8 +22,11 @@
 
 use std::time::Instant;
 
+use sprint_game::EquilibriumCache;
 use sprint_sim::runner::standard_fault_suite;
-use sprint_sim::sweep::{run_sweep, GameVariant, PopulationSpec, SweepSpec};
+use sprint_sim::sweep::{
+    run_sweep_shared, GameVariant, PopulationSpec, Supervision, SweepReport, SweepSpec,
+};
 use sprint_sim::telemetry::Telemetry;
 use sprint_sim::{PolicyKind, RunOptions};
 use sprint_workloads::Benchmark;
@@ -48,6 +52,12 @@ fn shared_pair_spec() -> SweepSpec {
     }
 }
 
+/// Run `spec` on `jobs` threads and a fresh cache of its own.
+fn sweep(spec: &SweepSpec, jobs: usize, telemetry: &mut Telemetry) -> SweepReport {
+    let cache = EquilibriumCache::default();
+    run_sweep_shared(spec, jobs, Supervision::default(), &cache, telemetry).expect("sweep succeeds")
+}
+
 /// Median wall nanoseconds per agent-epoch of `reps` serial runs of
 /// `spec`.
 fn ns_per_agent_epoch(spec: &SweepSpec, reps: usize) -> f64 {
@@ -57,7 +67,7 @@ fn ns_per_agent_epoch(spec: &SweepSpec, reps: usize) -> f64 {
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let started = Instant::now();
-            run_sweep(spec, 1, &mut Telemetry::noop()).expect("shared-pair sweep succeeds");
+            sweep(spec, 1, &mut Telemetry::noop());
             started.elapsed().as_nanos() as f64 / agent_epochs
         })
         .collect();
@@ -84,7 +94,7 @@ fn main() {
 
     let mut serial_kit = Telemetry::in_memory();
     let started = Instant::now();
-    let serial = run_sweep(&spec, 1, &mut serial_kit).expect("serial sweep succeeds");
+    let serial = sweep(&spec, 1, &mut serial_kit);
     let serial_nanos = started.elapsed().as_nanos() as u64;
     let population_builds = serial_kit
         .registry
@@ -102,7 +112,7 @@ fn main() {
 
     let mut kit = Telemetry::in_memory();
     let started = Instant::now();
-    let parallel = run_sweep(&spec, PARALLEL_JOBS, &mut kit).expect("parallel sweep succeeds");
+    let parallel = sweep(&spec, PARALLEL_JOBS, &mut kit);
     let parallel_nanos = started.elapsed().as_nanos() as u64;
 
     let serial_json = serde_json::to_string(&serial).expect("report serializes");

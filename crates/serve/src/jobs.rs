@@ -47,36 +47,10 @@ fn job_err<E: std::error::Error>(e: E) -> ServeError {
     ServeError::Job(e.to_string())
 }
 
-/// Read a required field of a hand-written `Deserialize` impl.
-fn de_required<T: serde::Deserialize>(
-    obj: &[(String, serde::Value)],
-    name: &str,
-    parent: &str,
-) -> Result<T, serde::DeError> {
-    match serde::__field(obj, name) {
-        Some(v) => T::from_value(v),
-        None => Err(serde::DeError::custom(format!(
-            "missing field `{name}` in `{parent}`"
-        ))),
-    }
-}
-
-/// Read an optional field, substituting `default` when absent.
-fn de_or<T: serde::Deserialize>(
-    obj: &[(String, serde::Value)],
-    name: &str,
-    default: T,
-) -> Result<T, serde::DeError> {
-    match serde::__field(obj, name) {
-        Some(v) => T::from_value(v),
-        None => Ok(default),
-    }
-}
-
 /// One simulation run: a benchmark, a policy, and the knobs that shape
 /// the scenario. The typed replacement for `sprint simulate`'s (and
 /// trace/report/monitor's) flag plumbing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RunSpec {
     /// Benchmark name (see `sprint benchmarks`).
     pub benchmark: String,
@@ -94,43 +68,13 @@ pub struct RunSpec {
     /// its `--jobs-cap` so HTTP clients can use the pool without
     /// oversubscribing the host. Reports are byte-identical at every
     /// value, so this knob shapes wall-clock only, never results.
+    ///
+    /// Absent on the wire unless set: pre-pool specs keep their exact
+    /// bytes (the journal replay and report byte-identity gates pin
+    /// them), and echoed reports only mention the knob when the client
+    /// asked for it.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub jobs: Option<u64>,
-}
-
-// Hand-written so an absent `jobs` stays absent on the wire: pre-pool
-// specs keep their exact bytes (the journal replay and report
-// byte-identity gates pin them), and echoed reports only mention the
-// knob when the client asked for it.
-impl serde::Serialize for RunSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut obj = vec![
-            ("benchmark".to_string(), self.benchmark.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-            ("agents".to_string(), self.agents.to_value()),
-            ("epochs".to_string(), self.epochs.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-        ];
-        if let Some(jobs) = self.jobs {
-            obj.push(("jobs".to_string(), jobs.to_value()));
-        }
-        serde::Value::Object(obj)
-    }
-}
-
-impl serde::Deserialize for RunSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let Some(obj) = value.as_object() else {
-            return Err(serde::DeError::type_mismatch("object", value));
-        };
-        Ok(RunSpec {
-            benchmark: de_required(obj, "benchmark", "RunSpec")?,
-            policy: de_required(obj, "policy", "RunSpec")?,
-            agents: de_required(obj, "agents", "RunSpec")?,
-            epochs: de_required(obj, "epochs", "RunSpec")?,
-            seed: de_required(obj, "seed", "RunSpec")?,
-            jobs: de_or(obj, "jobs", None)?,
-        })
-    }
 }
 
 impl RunSpec {
@@ -218,7 +162,7 @@ pub enum JobKind {
 /// The canonical, versioned job submission — the one type every CLI
 /// subcommand builds from its flags and every HTTP client posts to
 /// `/v1/jobs`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct JobSpec {
     /// Wire-format version (see [`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -228,24 +172,11 @@ pub struct JobSpec {
     /// (schema v2). The clock starts when a worker picks the job up,
     /// not at submission; the run is abandoned at the next cooperative
     /// epoch checkpoint past the budget with a typed
-    /// [`JobOutcome::DeadlineExceeded`]. `None` means unbounded.
+    /// [`JobOutcome::DeadlineExceeded`]. `None` means unbounded, and
+    /// is absent on the wire, so v1-shaped specs keep their exact v1
+    /// bytes, which the report byte-identity gates pin.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub deadline_ms: Option<u64>,
-}
-
-// Hand-written so an absent `deadline_ms` stays absent on the wire:
-// v1-shaped specs keep their exact v1 bytes, which the report
-// byte-identity gates pin.
-impl serde::Serialize for JobSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut obj = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("job".to_string(), self.job.to_value()),
-        ];
-        if let Some(ms) = self.deadline_ms {
-            obj.push(("deadline_ms".to_string(), ms.to_value()));
-        }
-        serde::Value::Object(obj)
-    }
 }
 
 // Hand-written so `schema_version` defaults for specs written before
@@ -257,7 +188,11 @@ impl serde::Deserialize for JobSpec {
         let Some(obj) = value.as_object() else {
             return Err(serde::DeError::type_mismatch("object", value));
         };
-        let schema_version: u32 = de_or(obj, "schema_version", SCHEMA_VERSION)?;
+        let field = |name| serde::__field(obj, name);
+        let schema_version: u32 = match field("schema_version") {
+            Some(v) => serde::Deserialize::from_value(v)?,
+            None => SCHEMA_VERSION,
+        };
         if schema_version == 0 || schema_version > SCHEMA_VERSION {
             return Err(serde::DeError::custom(format!(
                 "unsupported schema_version {schema_version}; this build speaks 1..={SCHEMA_VERSION}"
@@ -268,8 +203,14 @@ impl serde::Deserialize for JobSpec {
             // of the system (executor, reports, journal) only ever sees
             // current-version specs.
             schema_version: SCHEMA_VERSION,
-            job: de_required(obj, "job", "JobSpec")?,
-            deadline_ms: de_or(obj, "deadline_ms", None)?,
+            job: match field("job") {
+                Some(v) => serde::Deserialize::from_value(v)?,
+                None => return Err(serde::DeError::custom("missing field `job` in `JobSpec`")),
+            },
+            deadline_ms: match field("deadline_ms") {
+                Some(v) => serde::Deserialize::from_value(v)?,
+                None => None,
+            },
         })
     }
 }
@@ -842,7 +783,7 @@ mod tests {
         // worker fan-out: bytes must not move.
         let warmed = EquilibriumCache::default();
         let other = Scenario::homogeneous(Benchmark::PageRank, 40, 10).unwrap();
-        other.equilibrium_policy_cached(&warmed).unwrap();
+        other.equilibrium_policy_cached_cold(&warmed).unwrap();
         let opts = ExecOptions {
             jobs: 4,
             ..ExecOptions::default()

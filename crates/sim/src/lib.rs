@@ -50,7 +50,7 @@ mod error;
 /// The telemetry subsystem (re-exported): structured tracing, metrics
 /// registry, and timing spans. Every unified entry point —
 /// [`engine::run_guarded`], [`scenario::Scenario::execute`],
-/// [`runner::compare`], [`runner::chaos`], [`sweep::run_sweep`] — takes a
+/// [`runner::compare`], [`runner::chaos`], [`sweep::run_sweep_shared`] — takes a
 /// [`Telemetry`](telemetry::Telemetry) kit; pass
 /// [`Telemetry::noop()`](telemetry::Telemetry::noop) for unobserved runs.
 pub use sprint_telemetry as telemetry;

@@ -288,30 +288,15 @@ impl Scenario {
     /// pay for Algorithm 1 once. Also returns a [`SolveSummary`] for
     /// per-cell convergence reporting.
     ///
-    /// Cached results are bit-identical to fresh solves (the solver is
-    /// deterministic), so sweeps aggregate identically with or without
-    /// the cache. Heterogeneous populations solve uncached (the
-    /// multi-type fixed point is not yet memoized).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scenario::equilibrium_thresholds`].
-    pub fn equilibrium_policy_cached(
-        &self,
-        cache: &EquilibriumCache,
-    ) -> crate::Result<(ThresholdPolicy, SolveSummary)> {
-        self.equilibrium_policy_with(cache, true)
-    }
-
-    /// [`Scenario::equilibrium_policy_cached`] with cold starts: a miss
-    /// runs Algorithm 1 from scratch instead of warm-starting from the
-    /// nearest cached neighbor.
-    ///
-    /// Cold solves make the result — including the [`SolveSummary`]'s
-    /// iteration count and residual — independent of whatever else the
-    /// cache happens to hold, so reports built through a long-lived
-    /// shared cache (the `sprint serve` daemon, the unified job path)
-    /// serialize to the same bytes no matter which jobs ran before them.
+    /// A miss runs Algorithm 1 from scratch (cold), never from a cached
+    /// neighbor, so the result — including the [`SolveSummary`]'s
+    /// iteration count and residual — is independent of whatever else
+    /// the cache holds: reports built through a long-lived shared cache
+    /// (the `sprint serve` daemon, the unified job path) serialize to the
+    /// same bytes no matter which jobs ran before them. Cached results
+    /// are bit-identical to fresh solves (the solver is deterministic).
+    /// Heterogeneous populations solve uncached (the multi-type fixed
+    /// point is not yet memoized).
     ///
     /// # Errors
     ///
@@ -320,29 +305,12 @@ impl Scenario {
         &self,
         cache: &EquilibriumCache,
     ) -> crate::Result<(ThresholdPolicy, SolveSummary)> {
-        self.equilibrium_policy_with(cache, false)
-    }
-
-    fn equilibrium_policy_with(
-        &self,
-        cache: &EquilibriumCache,
-        warm: bool,
-    ) -> crate::Result<(ThresholdPolicy, SolveSummary)> {
         let game = self.solve_game()?;
         let types = self.population.distinct_types();
         if types.len() == 1 {
             let solver = MeanFieldSolver::new(game);
-            // Warm-started: a fresh key seeds Algorithm 1 from the nearest
-            // completed equilibrium already in the cache (sweep neighbors
-            // differ by one knob, so their fixed points are close). Cold:
-            // cache content can never leak into the summary's bytes.
             let density = types[0].utility_density(DENSITY_BINS)?;
-            let solved = if warm {
-                cache.solve_warm(&solver, &density)
-            } else {
-                cache.solve(&solver, &density)
-            };
-            let (threshold, summary) = match solved {
+            let (threshold, summary) = match cache.solve(&solver, &density) {
                 Ok(eq) => (
                     eq.threshold(),
                     SolveSummary {
@@ -720,8 +688,8 @@ mod tests {
         let s = Scenario::homogeneous(Benchmark::PageRank, 100, 50).unwrap();
         let fresh = s.equilibrium_thresholds(&mut Telemetry::noop()).unwrap();
         let cache = EquilibriumCache::default();
-        let (first, summary) = s.equilibrium_policy_cached(&cache).unwrap();
-        let (second, _) = s.equilibrium_policy_cached(&cache).unwrap();
+        let (first, summary) = s.equilibrium_policy_cached_cold(&cache).unwrap();
+        let (second, _) = s.equilibrium_policy_cached_cold(&cache).unwrap();
         assert_eq!(fresh.thresholds(), first.thresholds());
         assert_eq!(fresh.thresholds(), second.thresholds());
         assert!(summary.converged);
@@ -734,7 +702,7 @@ mod tests {
     fn cached_heterogeneous_solve_bypasses_the_cache() {
         let s = Scenario::heterogeneous(&[Benchmark::Svm, Benchmark::Kmeans], 40, 60).unwrap();
         let cache = EquilibriumCache::default();
-        let (p, summary) = s.equilibrium_policy_cached(&cache).unwrap();
+        let (p, summary) = s.equilibrium_policy_cached_cold(&cache).unwrap();
         assert_eq!(p.thresholds().len(), 40);
         assert!(summary.converged);
         let stats = cache.stats();

@@ -4,14 +4,26 @@
 //! solve exactly once and for each (population, seed) build at most once
 //! per worker.
 
+use sprint_game::EquilibriumCache;
 use sprint_sim::runner::NamedPlan;
 use sprint_sim::sweep::{
-    run_sweep, run_sweep_supervised, GameVariant, PopulationSpec, Sabotage, Supervision, SweepSpec,
+    run_sweep_shared, GameVariant, PopulationSpec, Sabotage, Supervision, SweepReport, SweepSpec,
 };
 use sprint_sim::telemetry::Telemetry;
 use sprint_sim::{FaultPlan, PolicyKind, RunOptions};
 use sprint_workloads::generator::Population;
 use sprint_workloads::Benchmark;
+
+/// A sweep on a fresh cache of its own.
+fn sweep(
+    spec: &SweepSpec,
+    jobs: usize,
+    supervision: Supervision,
+    telemetry: &mut Telemetry,
+) -> sprint_sim::Result<SweepReport> {
+    let cache = EquilibriumCache::default();
+    run_sweep_shared(spec, jobs, supervision, &cache, telemetry)
+}
 
 fn spec() -> SweepSpec {
     let mut hot = GameVariant::paper("hot");
@@ -31,10 +43,10 @@ fn spec() -> SweepSpec {
 #[test]
 fn fixed_seed_sweep_is_byte_identical_across_job_counts() {
     let spec = spec();
-    let serial = run_sweep(&spec, 1, &mut Telemetry::noop()).unwrap();
+    let serial = sweep(&spec, 1, Supervision::default(), &mut Telemetry::noop()).unwrap();
     let json_serial = serde_json::to_string(&serial).unwrap();
     for jobs in [2, 4, 8] {
-        let parallel = run_sweep(&spec, jobs, &mut Telemetry::noop()).unwrap();
+        let parallel = sweep(&spec, jobs, Supervision::default(), &mut Telemetry::noop()).unwrap();
         assert_eq!(
             json_serial,
             serde_json::to_string(&parallel).unwrap(),
@@ -47,17 +59,17 @@ fn fixed_seed_sweep_is_byte_identical_across_job_counts() {
 fn each_distinct_game_solves_once() {
     let spec = spec();
     let mut kit = Telemetry::in_memory();
-    let report = run_sweep(&spec, 4, &mut kit).unwrap();
+    let report = sweep(&spec, 4, Supervision::default(), &mut kit).unwrap();
     assert_eq!(report.trials, 16);
-    // 2 games × 4 E-T seeds = 8 solve requests against 2 distinct keys;
-    // the warm pre-pass takes the 2 misses, so every trial request hits.
+    // 2 games × 4 E-T seeds = 8 solve requests against 2 distinct keys:
+    // the first request for each key misses and the other 6 hit.
     assert_eq!(
         kit.registry.counter_value("cache.equilibrium.misses"),
         Some(2)
     );
     assert_eq!(
         kit.registry.counter_value("cache.equilibrium.hits"),
-        Some(8)
+        Some(6)
     );
     assert_eq!(
         kit.registry.gauge_value("cache.equilibrium.entries"),
@@ -70,7 +82,7 @@ fn sweep_records_match_unified_single_runs() {
     use sprint_sim::scenario::Scenario;
 
     let spec = spec();
-    let report = run_sweep(&spec, 2, &mut Telemetry::noop()).unwrap();
+    let report = sweep(&spec, 2, Supervision::default(), &mut Telemetry::noop()).unwrap();
     assert_eq!(report.records.len(), spec.trial_count());
     let population = PopulationSpec::homogeneous(Benchmark::Svm, 50);
     for record in &report.records {
@@ -151,7 +163,7 @@ fn panic_once(trial: usize, attempt: u32) -> Option<Sabotage> {
 #[test]
 fn each_population_is_built_once_per_worker() {
     let spec = reuse_spec();
-    let clean = run_sweep(&spec, 1, &mut Telemetry::noop()).unwrap();
+    let clean = sweep(&spec, 1, Supervision::default(), &mut Telemetry::noop()).unwrap();
     assert_eq!(clean.trials, 24);
     let clean_json = serde_json::to_string(&clean).unwrap();
     let supervision = Supervision {
@@ -160,7 +172,7 @@ fn each_population_is_built_once_per_worker() {
     };
     for jobs in [1, 2, 4] {
         let mut kit = Telemetry::in_memory();
-        let report = run_sweep_supervised(&spec, jobs, supervision.clone(), &mut kit).unwrap();
+        let report = sweep(&spec, jobs, supervision.clone(), &mut kit).unwrap();
         assert_eq!(
             serde_json::to_string(&report).unwrap(),
             clean_json,
@@ -197,7 +209,7 @@ fn each_population_is_built_once_per_worker() {
     }
     // The counters are telemetry: a disabled kit carries none.
     let mut off = Telemetry::noop();
-    run_sweep(&spec, 2, &mut off).unwrap();
+    sweep(&spec, 2, Supervision::default(), &mut off).unwrap();
     for name in [
         "sweep.population_builds",
         "sweep.phase_tracks",
@@ -218,7 +230,7 @@ fn a_sweep_whose_trials_share_no_pair_samples_live() {
     };
     assert_eq!(spec.trial_count(), 4);
     let mut kit = Telemetry::in_memory();
-    let report = run_sweep(&spec, 1, &mut kit).unwrap();
+    let report = sweep(&spec, 1, Supervision::default(), &mut kit).unwrap();
     assert_eq!(report.trials, 4);
     assert_eq!(kit.registry.counter_value("sweep.phase_tracks"), Some(0));
     assert_eq!(kit.registry.counter_value("sweep.phase_replays"), Some(0));
@@ -231,7 +243,7 @@ fn reused_streams_match_a_fresh_build() {
     // Trial 7 (svm, composite, Greedy, seed 4) runs after three trials
     // of its (population, seed) pair ran on clones of the same build.
     let spec = reuse_spec();
-    let report = run_sweep(&spec, 1, &mut Telemetry::noop()).unwrap();
+    let report = sweep(&spec, 1, Supervision::default(), &mut Telemetry::noop()).unwrap();
     let record = &report.records[7];
     assert_eq!(
         (record.population.as_str(), record.plan.as_str()),

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use sprint_sim::policy::PolicyKind;
     pub use sprint_sim::runner::compare;
     pub use sprint_sim::scenario::Scenario;
-    pub use sprint_sim::sweep::{run_sweep, SweepReport, SweepSpec};
+    pub use sprint_sim::sweep::{run_sweep_shared, SweepReport, SweepSpec};
     pub use sprint_stats::density::DiscreteDensity;
     pub use sprint_telemetry::Telemetry;
     pub use sprint_workloads::generator::Population;
