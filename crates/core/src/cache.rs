@@ -286,41 +286,7 @@ impl EquilibriumCache {
         solver: &MeanFieldSolver,
         density: &DiscreteDensity,
     ) -> crate::Result<Equilibrium> {
-        let key = SolveKey::new(solver.config(), solver.options(), density);
-        let shard_idx = (key.canonical_hash() % self.shards.len() as u64) as usize;
-        let (cell, fresh) = {
-            let mut shard = self.lock_shard(shard_idx);
-            if let Some(entry) = shard.map.get(&key) {
-                (Arc::clone(&entry.cell), false)
-            } else {
-                if shard.map.len() >= self.capacity_per_shard {
-                    if let Some(victim) = shard.order.pop_front() {
-                        shard.map.remove(&victim);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let cell: Cell = Arc::new(OnceLock::new());
-                let seq = self.inserts.fetch_add(1, Ordering::Relaxed);
-                shard.map.insert(
-                    key.clone(),
-                    Entry {
-                        seq,
-                        cell: Arc::clone(&cell),
-                    },
-                );
-                shard.order.push_back(key);
-                (cell, true)
-            }
-        };
-        if fresh {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        // Single-flight: the solve runs outside the shard lock, and racing
-        // threads block here instead of solving twice.
-        cell.get_or_init(|| solver.solve_impl(density, None, &mut Noop))
-            .clone()
+        self.solve_from(solver, density, false)
     }
 
     /// [`EquilibriumCache::solve`], but a miss warm-starts Algorithm 1
@@ -329,10 +295,10 @@ impl EquilibriumCache {
     ///
     /// Hit/miss accounting is identical to [`EquilibriumCache::solve`].
     /// Because the hint depends on which neighbors have *finished*, the
-    /// result of a warm miss depends on completion order — callers that
-    /// need scheduling-independent bytes (the sweep engine) must issue
-    /// their warm solves in a deterministic serial order, as
-    /// `run_sweep`'s pre-pass does.
+    /// result of a warm miss depends on completion order: a caller that
+    /// needs scheduling-independent bytes must issue its warm solves in a
+    /// deterministic serial order. Sweeps and jobs solve cold for that
+    /// reason.
     ///
     /// # Errors
     ///
@@ -341,6 +307,19 @@ impl EquilibriumCache {
         &self,
         solver: &MeanFieldSolver,
         density: &DiscreteDensity,
+    ) -> crate::Result<Equilibrium> {
+        self.solve_from(solver, density, true)
+    }
+
+    /// Look the key up, inserting a fresh cell (and evicting the shard's
+    /// oldest entry when full) on a miss, count the hit or miss, and
+    /// solve a fresh cell — from the nearest finished neighbor's
+    /// `P_trip` when `warm`.
+    fn solve_from(
+        &self,
+        solver: &MeanFieldSolver,
+        density: &DiscreteDensity,
+        warm: bool,
     ) -> crate::Result<Equilibrium> {
         let key = SolveKey::new(solver.config(), solver.options(), density);
         let shard_idx = (key.canonical_hash() % self.shards.len() as u64) as usize;
@@ -373,11 +352,13 @@ impl EquilibriumCache {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
+        // Single-flight: the solve runs outside the shard lock, and racing
+        // threads block here instead of solving twice.
         cell.get_or_init(|| {
             // The hint scan skips in-flight cells (including this key's
             // own just-inserted one), so it only ever sees finished
             // neighbors.
-            let hint = self.warm_hint_for(&key);
+            let hint = if warm { self.warm_hint_for(&key) } else { None };
             solver.solve_impl(density, hint, &mut Noop)
         })
         .clone()
