@@ -25,8 +25,6 @@
 //! - population builds (`Population::spawn_streams_jobs`) are timed at
 //!   N ∈ {10⁵, 10⁶} for jobs ∈ {1, 2}, and building 2× the agents must
 //!   not allocate more often: the count follows cohorts and threads;
-//! - warm-started Algorithm 1 (`EquilibriumCache::solve_warm`) cuts mean
-//!   iterations per cell ≥ `MIN_WARM_RATIO`× across a parameter ladder;
 //! - `gap_draw` rows time one geometric draw through a `GapTable` and
 //!   through the logarithm it replaces, at the svm phase scale and the
 //!   paper's cooling scale, and time the table's build; both routes must
@@ -47,7 +45,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::Rng;
 use sprint_game::trip::TripCurve;
-use sprint_game::{AgentState, EquilibriumCache, GameConfig, MeanFieldSolver, ThresholdStrategy};
+use sprint_game::{AgentState, GameConfig, ThresholdStrategy};
 use sprint_sim::engine::{run_guarded, RunGuard, SimConfig, DEFAULT_CHUNK};
 use sprint_sim::faults::FaultPlan;
 use sprint_sim::policies::{ExponentialBackoff, ThresholdPolicy};
@@ -101,7 +99,6 @@ const MIN_SERIAL_SPEEDUP: f64 = 2.5;
 /// cores keep ≥ 2× of the ideal 4× after the serial reduction and the
 /// barrier wait are paid.
 const MIN_PARALLEL_SPEEDUP: f64 = 2.0;
-const MIN_WARM_RATIO: f64 = 2.0;
 /// A multi-core run may not lose more than this fraction of the parallel
 /// speedup the previous multi-core run recorded.
 const REGRESSION_TOLERANCE: f64 = 0.9;
@@ -454,42 +451,6 @@ fn spawn_allocs(n: usize, jobs: usize) -> u64 {
     allocs
 }
 
-/// Mean Algorithm-1 iterations per cell over a breaker-band ladder,
-/// solved cold and warm-started through the equilibrium cache.
-fn warm_start_ratio(cells: usize) -> (f64, f64) {
-    let density = Benchmark::DecisionTree.utility_density(512).unwrap();
-    let games: Vec<GameConfig> = (0..cells)
-        .map(|i| {
-            GameConfig::builder()
-                .n_agents(1000)
-                .n_min(250.0)
-                .n_max(600.0 + 15.0 * i as f64)
-                .build()
-                .unwrap()
-        })
-        .collect();
-    let cold: usize = games
-        .iter()
-        .map(|g| {
-            MeanFieldSolver::new(*g)
-                .run(&density, &mut Telemetry::noop())
-                .unwrap()
-                .iterations()
-        })
-        .sum();
-    let cache = EquilibriumCache::default();
-    let warm: usize = games
-        .iter()
-        .map(|g| {
-            cache
-                .solve_warm(&MeanFieldSolver::new(*g), &density)
-                .unwrap()
-                .iterations()
-        })
-        .sum();
-    (cold as f64 / cells as f64, warm as f64 / cells as f64)
-}
-
 /// The previous snapshot's multi-core parallel baseline, if it has one:
 /// `(cores, parallel_speedup)` read from the file this run overwrites.
 fn prior_baseline(path: &std::path::Path) -> Option<(u64, f64)> {
@@ -782,14 +743,6 @@ fn main() {
     .map(|(name, scale)| gap_draw_row(name, scale, &words, reps))
     .join(",\n");
 
-    let warm_cells = if quick { 6 } else { 12 };
-    let (cold_iters, warm_iters) = warm_start_ratio(warm_cells);
-    let warm_ratio = cold_iters / warm_iters.max(1e-9);
-    println!(
-        "  warm      {cold_iters:.1} cold vs {warm_iters:.1} warm iterations/cell \
-         ({warm_ratio:.2}x over {warm_cells} cells)"
-    );
-
     let baseline_json = match baseline {
         Some((prior_cores, prior_speedup)) => {
             format!("{{\"cores\": {prior_cores}, \"parallel_speedup\": {prior_speedup:.4}}}")
@@ -818,11 +771,7 @@ fn main() {
          \"allocs_short_run\": {short},\n  \"allocs_long_run\": {long},\n  \
          \"allocs_pool_short_run\": {pool_short},\n  \
          \"allocs_pool_long_run\": {pool_long},\n  \
-         \"path_allocs\": [\n{path_alloc_rows}\n  ],\n  \
-         \"warm_cells\": {warm_cells},\n  \
-         \"cold_iterations_per_cell\": {cold_iters:.4},\n  \
-         \"warm_iterations_per_cell\": {warm_iters:.4},\n  \
-         \"warm_start_ratio\": {warm_ratio:.4},\n  \"min_warm_ratio\": {MIN_WARM_RATIO}\n}}\n"
+         \"path_allocs\": [\n{path_alloc_rows}\n  ]\n}}\n"
     );
     std::fs::write(&out, json).expect("write BENCH_engine.json");
     println!("  snapshot {}", out.display());
@@ -884,21 +833,14 @@ fn main() {
             failed = true;
         }
     }
-    if warm_ratio < MIN_WARM_RATIO {
-        eprintln!(
-            "FAIL: warm starts cut iterations {warm_ratio:.2}x, \
-             below the {MIN_WARM_RATIO:.1}x floor"
-        );
-        failed = true;
-    }
     if failed {
         std::process::exit(1);
     }
     if enforce_parallel {
-        println!("PASS: no-alloc, spawn-alloc, serial, parallel, and warm-start budgets all met");
+        println!("PASS: no-alloc, spawn-alloc, serial, and parallel budgets all met");
     } else {
         println!(
-            "PASS: no-alloc, spawn-alloc, serial, and warm-start budgets met \
+            "PASS: no-alloc, spawn-alloc, and serial budgets met \
              (parallel not enforced on {cores} core(s))"
         );
     }

@@ -165,37 +165,12 @@ impl MeanFieldSolver {
         density: &DiscreteDensity,
         telemetry: &mut Telemetry,
     ) -> crate::Result<Equilibrium> {
-        self.solve_impl(density, None, telemetry.recorder())
-    }
-
-    /// [`MeanFieldSolver::run`] with an optional warm start: an initial
-    /// `P_trip` iterate (clamped to `[0, 1]`) replacing Algorithm 1's
-    /// cold start from certain tripping.
-    ///
-    /// Near an already-solved neighbor — a sweep grid cell one parameter
-    /// step away, a re-solve after small population drift — the fixed
-    /// point moves a little, so starting from the neighbor's `P_trip`
-    /// converges in a few iterations instead of walking down from 1.
-    /// Only the first attempt is warmed; damping escalations and the
-    /// bisection fallback restart cold, so a misleading hint degrades to
-    /// exactly the cold-start behavior instead of poisoning the retries.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`MeanFieldSolver::run`].
-    pub fn run_from(
-        &self,
-        density: &DiscreteDensity,
-        warm_start: Option<f64>,
-        telemetry: &mut Telemetry,
-    ) -> crate::Result<Equilibrium> {
-        self.solve_impl(density, warm_start, telemetry.recorder())
+        self.solve_impl(density, telemetry.recorder())
     }
 
     pub(crate) fn solve_impl(
         &self,
         density: &DiscreteDensity,
-        warm_start: Option<f64>,
         recorder: &mut dyn Recorder,
     ) -> crate::Result<Equilibrium> {
         // Escalation schedule: the configured damping first, then
@@ -210,7 +185,6 @@ impl MeanFieldSolver {
         let mut attempt_idx = 0u32;
         let mut attempt = |damping: f64,
                            max_iterations: usize,
-                           start: f64,
                            total: &mut usize,
                            best: &mut Option<(f64, f64, f64)>,
                            history: &mut Vec<f64>,
@@ -218,9 +192,8 @@ impl MeanFieldSolver {
          -> crate::Result<Option<Equilibrium>> {
             let attempt_no = attempt_idx;
             attempt_idx += 1;
-            // Algorithm 1 starts from certain tripping; a warm start
-            // replaces that with a neighbor's converged iterate.
-            let mut p = start;
+            // Algorithm 1 starts from certain tripping.
+            let mut p = 1.0;
             for _ in 0..max_iterations {
                 if *total >= budget {
                     return Ok(None);
@@ -271,7 +244,6 @@ impl MeanFieldSolver {
         if let Some(eq) = attempt(
             self.options.damping,
             self.options.max_iterations,
-            warm_start.map_or(1.0, |p| p.clamp(0.0, 1.0)),
             &mut total_iterations,
             &mut best,
             &mut history,
@@ -291,7 +263,6 @@ impl MeanFieldSolver {
             if let Some(eq) = attempt(
                 damping,
                 retry_iterations,
-                1.0,
                 &mut total_iterations,
                 &mut best,
                 &mut history,
@@ -426,29 +397,6 @@ mod tests {
         MeanFieldSolver::new(cfg)
             .run(&b.utility_density(512).unwrap(), &mut Telemetry::noop())
             .unwrap()
-    }
-
-    #[test]
-    fn warm_start_near_the_fixed_point_converges_in_fewer_iterations() {
-        let cfg = GameConfig::paper_defaults();
-        let solver = MeanFieldSolver::new(cfg);
-        let d = Benchmark::DecisionTree.utility_density(512).unwrap();
-        let cold = solver.run(&d, &mut Telemetry::noop()).unwrap();
-        // Restart exactly at the fixed point: one evaluation confirms it.
-        let warm = solver
-            .run_from(&d, Some(cold.p_trip), &mut Telemetry::noop())
-            .unwrap();
-        assert!(warm.iterations < cold.iterations);
-        assert!((warm.threshold - cold.threshold).abs() < 1e-6);
-        assert!((warm.p_trip - cold.p_trip).abs() < solver.options().tolerance);
-        // A hint outside [0, 1] is clamped, not trusted.
-        let clamped = solver
-            .run_from(&d, Some(7.5), &mut Telemetry::noop())
-            .unwrap();
-        assert_eq!(clamped, cold, "clamped hint of 7.5 behaves as cold start");
-        // No hint reproduces the cold solve bit for bit.
-        let none = solver.run_from(&d, None, &mut Telemetry::noop()).unwrap();
-        assert_eq!(none, cold);
     }
 
     #[test]
