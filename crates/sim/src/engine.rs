@@ -112,7 +112,7 @@ pub enum UtilityEstimation {
 /// On the wire an absent field takes [`RunOptions::default`]'s value, so
 /// specs written before a field existed keep parsing as they did.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct RunOptions {
     /// What servers produce while the rack recovers.
     pub recovery: RecoverySemantics,

@@ -33,6 +33,7 @@ use crate::SimError;
 
 /// Agent crash/restart churn.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CrashChurn {
     /// Per-agent, per-epoch probability of crashing.
     pub crash_probability: f64,
@@ -46,6 +47,7 @@ pub struct CrashChurn {
 
 /// Sprinters whose power gate fails to release at sprint completion.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct StuckSprinters {
     /// Probability a completing sprint sticks in the power-on position.
     pub stick_probability: f64,
@@ -56,6 +58,7 @@ pub struct StuckSprinters {
 
 /// Noise and dropout on the panel's aggregate current sensor.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SensorFault {
     /// Relative standard deviation of multiplicative Gaussian noise on
     /// the measured sprinter-equivalent load.
@@ -67,6 +70,7 @@ pub struct SensorFault {
 
 /// Breaker tolerance-band miscalibration.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BreakerDrift {
     /// Relative shift of both band edges: the breaker actually trips on
     /// the band `[(1 + shift)·N_min, (1 + shift)·N_max]` while every
@@ -77,6 +81,7 @@ pub struct BreakerDrift {
 
 /// Coordinator thresholds solved for an outdated population.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CoordinatorStaleness {
     /// Ratio of the population the coordinator solved for to the
     /// population actually racked (`> 1`: machines have since drained;
@@ -92,6 +97,7 @@ pub struct CoordinatorStaleness {
 /// `delay_probability`, and an extra copy is enqueued with
 /// `duplicate_probability`.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TransportFault {
     /// Per-message probability of silent loss.
     pub loss_probability: f64,
@@ -107,6 +113,7 @@ pub struct TransportFault {
 /// fraction of agents exchange no messages with the coordinator in
 /// either direction (messages are dropped, not queued).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RackPartition {
     /// First epoch of the partition window.
     pub start_epoch: usize,
@@ -142,6 +149,7 @@ impl RackPartition {
 /// and leaves simulations bit-identical to runs that never heard of
 /// faults.
 #[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPlan {
     /// Seed for the dedicated fault randomness stream.
     pub seed: u64,

@@ -190,6 +190,7 @@ impl AdversaryKind {
 /// An adversary population specification: which archetype, what fraction
 /// of the rack, and when (if ever) it stands down.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AdversaryMix {
     /// The misbehavior archetype.
     pub kind: AdversaryKind,

@@ -254,6 +254,7 @@ fn compare_legs(
 
 /// A fault plan with a display name, for chaos-matrix axes.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct NamedPlan {
     /// Human-readable plan name (unique within a suite).
     pub name: String,
