@@ -68,7 +68,7 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 /// endless header line cannot grow an unbounded `String` (the plain
 /// `read_line` has no such bound).
 fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl BufRead,
     limit: usize,
     what: &'static str,
 ) -> crate::Result<String> {
@@ -101,10 +101,11 @@ fn read_line_bounded(
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] for malformed or oversized heads,
+/// [`ServeError::BadRequest`] for malformed or oversized heads and for
+/// a head or body cut short by end of stream,
 /// [`ServeError::PayloadTooLarge`] for oversized bodies,
 /// [`ServeError::Io`] for transport failures.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> crate::Result<Request> {
+pub fn read_request(reader: &mut impl BufRead) -> crate::Result<Request> {
     let line = read_line_bounded(reader, MAX_HEAD_BYTES, "reading request line")?;
     let mut parts = line.split_whitespace();
     let method = parts
@@ -155,9 +156,13 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> crate::Result<Request>
         });
     }
     let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(ServeError::io("reading body"))?;
+    reader.read_exact(&mut body).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            ServeError::BadRequest("truncated request body".into())
+        } else {
+            ServeError::io("reading body")(e)
+        }
+    })?;
     Ok(Request {
         method,
         path,
@@ -388,20 +393,63 @@ pub mod client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use proptest::prelude::*;
 
     fn roundtrip(raw: &str) -> crate::Result<Request> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
-        let writer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(raw.as_bytes()).unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let request = read_request(&mut BufReader::new(stream));
-        writer.join().unwrap();
-        request
+        read_request(&mut raw.as_bytes())
+    }
+
+    /// A valid `POST /v1/jobs?wait=true` with a job spec body.
+    fn submission() -> Vec<u8> {
+        let body = r#"{"schema_version":2,"job":{"Run":{"spec":{"benchmark":"svm","policy":"EquilibriumThreshold","agents":40,"epochs":60,"seed":7}}},"deadline_ms":30000}"#;
+        format!(
+            "POST /v1/jobs?wait=true HTTP/1.1\r\nHost: 127.0.0.1\r\n\
+             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    /// Untrusted bytes must parse or be rejected with a 4xx status.
+    fn parses_or_is_a_4xx(bytes: &[u8]) -> Result<(), String> {
+        match read_request(&mut &bytes[..]) {
+            Err(e) if !(400..500).contains(&e.status()) => Err(format!("{} ({e})", e.status())),
+            _ => Ok(()),
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_submission_is_a_typed_400() {
+        let raw = submission();
+        for cut in 0..raw.len() {
+            let err = read_request(&mut &raw[..cut]).unwrap_err();
+            assert_eq!(err.status(), 400, "cut at {cut}: {err}");
+        }
+        let whole = read_request(&mut &raw[..]).unwrap();
+        assert!(whole.query_flag("wait"));
+        assert!(whole.body_text().unwrap().ends_with("30000}"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        fn arbitrary_bytes_parse_or_are_a_4xx(
+            bytes in prop::collection::vec(0u8..=255, 0..600),
+        ) {
+            let verdict = parses_or_is_a_4xx(&bytes);
+            prop_assert!(verdict.is_ok(), "{verdict:?} on {:?}", String::from_utf8_lossy(&bytes));
+        }
+
+        fn overwritten_submission_bytes_parse_or_are_a_4xx(
+            overwrites in prop::collection::vec((0usize..4096, 0u8..=255), 1..4),
+        ) {
+            let mut bytes = submission();
+            for (at, byte) in overwrites {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            let verdict = parses_or_is_a_4xx(&bytes);
+            prop_assert!(verdict.is_ok(), "{verdict:?} on {:?}", String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]
