@@ -1,11 +1,13 @@
 //! Telemetry overhead smoke check (not a criterion bench).
 //!
 //! Measures the engine at rack scale in three configurations — two
-//! independent `engine::run_guarded` passes with disabled telemetry (the
-//! second doubles as a run-to-run noise check now that the deprecated
-//! `simulate` shim is gone) and one with a live in-memory recorder —
-//! and enforces the zero-cost-when-disabled contract: the disabled
-//! path must stay within 5 % of the baseline.
+//! independent `engine::run_guarded` passes with disabled telemetry and
+//! one with a live in-memory recorder — and fails when the second
+//! disabled pass ("noop") runs more than 5 % slower than the first
+//! ("plain"). Both gated legs run `Telemetry::disabled()`, the same
+//! path, so the gate compares that path with itself: it bounds
+//! run-to-run noise and cannot see what the instrumentation costs. The
+//! enabled leg is reported, not gated.
 //!
 //! Methodology, after the old estimator proved flaky (min of 5 reps at
 //! 200 agents reported a −1.3 % "overhead"): the workload is 10k agents

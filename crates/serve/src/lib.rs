@@ -17,9 +17,9 @@
 //!   streaming live health snapshots over SSE.
 //!
 //! Determinism contract: job reports are a function of the [`JobSpec`]
-//! alone. Equilibrium solves on the shared cache run *cold* (no
-//! warm-start hints), so cache history never leaks into report bytes —
-//! see [`sprint_game::EquilibriumCache::solve`].
+//! alone. Equilibrium solves on the shared cache run *cold*, from
+//! `P_trip = 1`, so cache history never leaks into report bytes — see
+//! [`sprint_game::EquilibriumCache::solve`].
 //!
 //! [`JobSpec`]: jobs::JobSpec
 //! [`JobReport`]: jobs::JobReport
