@@ -100,6 +100,7 @@ impl RunSpec {
 
 /// Which chaos suite a [`ChaosSpec`] runs.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ChaosMode {
     /// The policy × fault-plan resilience matrix over the standard
     /// fault suite.
@@ -143,6 +144,7 @@ pub struct ChaosSpec {
 /// boxing would leak into the derived JSON shape.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum JobKind {
     /// One simulation run.
     Run {
@@ -253,16 +255,27 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] with the primary parse failure when
-    /// the text is neither a [`JobSpec`] nor a legacy sweep spec.
+    /// [`ServeError::BadRequest`] when the text is neither a [`JobSpec`]
+    /// nor a legacy sweep spec. It names the legacy spec's defect when
+    /// the text is an object without a `job` key, which only a legacy
+    /// sweep spec is, and the [`JobSpec`] one otherwise.
     pub fn parse_json(text: &str) -> crate::Result<JobSpec> {
         match serde_json::from_str::<JobSpec>(text) {
             Ok(spec) => Ok(spec),
             Err(primary) => match serde_json::from_str::<SweepSpec>(text) {
                 Ok(sweep) => Ok(JobSpec::new(JobKind::Sweep { spec: sweep })),
-                Err(_) => Err(ServeError::BadRequest(format!(
-                    "invalid job spec: {primary}"
-                ))),
+                Err(legacy) => {
+                    let is_legacy = serde_json::from_str_value(text).is_ok_and(|value| {
+                        value
+                            .as_object()
+                            .is_some_and(|obj| serde::__field(obj, "job").is_none())
+                    });
+                    Err(ServeError::BadRequest(if is_legacy {
+                        format!("invalid legacy sweep spec: {legacy}")
+                    } else {
+                        format!("invalid job spec: {primary}")
+                    }))
+                }
             },
         }
     }
@@ -519,23 +532,16 @@ fn execute_run(
         .map_err(job_err)?
         .with_options(*scenario.options());
     let jobs = resolve_run_jobs(run.jobs, opts);
-    let mut streams = scenario
+    let arrivals = scenario
         .population()
-        .spawn_streams_jobs(run.seed, jobs)
+        .arrivals(run.seed, jobs)
         .map_err(job_err)?;
     let guard = RunGuard {
         deadline: None,
         cancel: cancel.cloned(),
     };
-    let result = engine::run_guarded(
-        &config,
-        &mut streams,
-        policy.as_mut(),
-        &guard,
-        jobs,
-        telemetry,
-    )
-    .map_err(job_err)?;
+    let result = engine::run_arrivals(&config, &arrivals, policy.as_mut(), &guard, jobs, telemetry)
+        .map_err(job_err)?;
     Ok(RunSummary {
         benchmark: run.benchmark.clone(),
         policy: run.policy,

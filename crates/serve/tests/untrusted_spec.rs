@@ -44,22 +44,49 @@ fn every_truncation_of_every_fixture_is_rejected_or_decoded() {
 
 #[test]
 fn a_misspelled_field_is_a_bad_request_that_names_it() {
-    // A top-level typo, and two nested in the sweep spec inside the job:
-    // a required field and one that has a default.
+    // (fixture, text replaced, its replacement, the key to name): a
+    // top-level typo; two nested in the sweep spec inside the job, a
+    // required field and one that has a default; the same two in a
+    // legacy sweep spec; a typo in a chaos partition's body; and an
+    // extra key in a run job's body.
     let typos = [
-        (FIXTURES[2], "\"deadline_ms\"", "deadline_mz"),
-        (FIXTURES[3], "\"epochs\"", "epoch"),
-        (FIXTURES[3], "\"stagger_epochs\"", "stagger_epoch"),
+        (
+            FIXTURES[2],
+            "\"deadline_ms\"",
+            "\"deadline_mz\"",
+            "deadline_mz",
+        ),
+        (FIXTURES[3], "\"epochs\"", "\"epoch\"", "epoch"),
+        (
+            FIXTURES[3],
+            "\"stagger_epochs\"",
+            "\"stagger_epoch\"",
+            "stagger_epoch",
+        ),
+        (FIXTURES[4], "\"epochs\"", "\"epoch\"", "epoch"),
+        (
+            FIXTURES[4],
+            "\"stagger_epochs\"",
+            "\"stagger_epoch\"",
+            "stagger_epoch",
+        ),
+        (FIXTURES[0], "\"start\"", "\"strat\"", "strat"),
+        (
+            FIXTURES[1],
+            "\"spec\":",
+            "\"priority\": 1, \"spec\":",
+            "priority",
+        ),
     ];
-    for (fixture, field, typo) in typos {
+    for (fixture, from, to, key) in typos {
         let text = std::str::from_utf8(fixture).unwrap();
-        assert_eq!(text.matches(field).count(), 1, "{field}");
-        match JobSpec::parse_json(&text.replace(field, &format!("\"{typo}\""))) {
+        assert_eq!(text.matches(from).count(), 1, "{from}");
+        match JobSpec::parse_json(&text.replace(from, to)) {
             Err(ServeError::BadRequest(message)) => assert!(
-                message.contains(&format!("unknown field `{typo}`")),
+                message.contains(&format!("unknown field `{key}`")),
                 "{message}"
             ),
-            other => panic!("{typo}: {other:?}"),
+            other => panic!("{key}: {other:?}"),
         }
     }
 }

@@ -42,16 +42,15 @@
 //! an Advance pass and a Settle pass, and produce the same bytes at
 //! every job count.
 
-use std::sync::Arc;
-
 use sprint_game::trip::TripCurve;
 use sprint_game::{AgentState, GameConfig};
 use sprint_power::pcm::CurrentSensor;
-use sprint_stats::density::{AliasSampler, DiscreteDensity};
+use sprint_stats::density::AliasSampler;
 use sprint_stats::rng::{CounterLane, CounterRng, GapTable};
 use sprint_telemetry::{
     CounterId, Event, EventKind, FaultKind, HistogramId, Registry, SeriesId, Telemetry,
 };
+use sprint_workloads::generator::Arrivals;
 use sprint_workloads::phases::PhasedUtility;
 
 use crate::faults::{FaultMetrics, FaultPlan};
@@ -564,27 +563,23 @@ impl Draws {
     }
 }
 
-/// Purpose tag for phase-process draws. Unlike the purposes above, phase
-/// streams are rooted at each *stream's own seed* (not the run seed), so
-/// a population's utility sequences depend only on how it was spawned —
-/// exactly as when each stream walked its own sequential generator.
-const PHASE_PURPOSE: u64 = 8;
-
-/// Per-agent phase-process constants, extracted from the utility streams
-/// once at setup so the epoch loop advances phases in flat lanes: emit
-/// the current value, then resample from the discretized stationary
-/// density with probability `1 / persistence` — one counter draw per
-/// agent-epoch plus an O(1) alias-table lookup on resample, instead of
-/// walking a sequential per-agent generator through a boxed
-/// distribution.
-struct PhaseKernel {
-    /// Counter stream per agent, rooted at the stream's seed.
-    keys: Vec<CounterLane>,
+/// The phase process of a population's arrivals, read in flat lanes by
+/// the epoch loop: emit the current value, then resample from the
+/// discretized stationary density with probability `1 / persistence` —
+/// one counter draw per agent-epoch plus an O(1) alias-table lookup on
+/// resample, instead of walking a sequential per-agent generator through
+/// a boxed distribution. The per-agent lanes are borrowed from the
+/// arrivals; only the per-cohort samplers are built.
+struct PhaseKernel<'a> {
+    /// Counter stream per agent, rooted at its own seed
+    /// ([`sprint_workloads::phases::phase_key`]), so a population's
+    /// utility sequences depend only on how it was built.
+    keys: &'a [CounterLane],
     /// Index into `cohorts` per agent (a population has a handful of
     /// cohorts, so this lane is small integers and `cohorts` stays
     /// cache-hot). Empty when there is one cohort: every agent's is 0.
-    cohort_of: Vec<u32>,
-    /// What the agents of one cohort share, once per distinct cohort.
+    cohort_of: &'a [u32],
+    /// What the agents of one cohort share, once per listed cohort.
     cohorts: Vec<CohortKernel>,
 }
 
@@ -599,62 +594,30 @@ struct CohortKernel {
     gaps: GapTable,
 }
 
-impl PhaseKernel {
-    fn new(streams: &[PhasedUtility]) -> Self {
+impl<'a> PhaseKernel<'a> {
+    /// One sampler per cohort `arrivals` lists; cohorts of one
+    /// persistence share one gap table, built once.
+    fn new(arrivals: &'a Arrivals) -> Self {
         use std::collections::hash_map::{Entry, HashMap};
-        // Deduplicate by shared-table identity and persistence: spawn
-        // cohorts hand every stream of a benchmark the same `Arc`, so a
-        // population has a handful of distinct cohorts regardless of
-        // agent count (streams built one-off each carry their own, which
-        // degrades gracefully to one cohort per agent). Spawned agents
-        // come in runs of one cohort — a homogeneous population is a
-        // single run — so an agent that continues its predecessor's run
-        // costs one compare, not a hash lookup. The cohort lane is written
-        // only once a second cohort appears, so a single-cohort population
-        // never allocates it. Cohorts of one persistence share one gap
-        // table, built once.
-        type Key = (*const DiscreteDensity, u64);
-        let mut seen: HashMap<Key, u32> = HashMap::new();
-        let mut tables: HashMap<u64, u32> = HashMap::new();
-        let mut cohorts: Vec<CohortKernel> = Vec::new();
-        let mut cohort_of = Vec::new();
-        let mut run: Option<(Key, u32)> = None;
-        for (a, s) in streams.iter().enumerate() {
-            let p = s.resample_probability();
-            let key = (Arc::as_ptr(s.sample_table()), p.to_bits());
-            let c = match run {
-                Some((k, c)) if k == key => c,
-                _ => *seen.entry(key).or_insert_with(|| {
-                    let c = cohorts.len() as u32;
-                    let gaps = match tables.entry(p.to_bits()) {
-                        Entry::Occupied(e) => cohorts[*e.get() as usize].gaps.clone(),
-                        Entry::Vacant(e) => {
-                            e.insert(c);
-                            GapTable::new(1.0 / (1.0 - p).ln())
-                        }
-                    };
-                    cohorts.push(CohortKernel {
-                        sampler: AliasSampler::new(s.sample_table()),
-                        gaps,
-                    });
-                    c
-                }),
+        let mut tables: HashMap<u64, usize> = HashMap::new();
+        let mut cohorts: Vec<CohortKernel> = Vec::with_capacity(arrivals.cohorts().len());
+        for cohort in arrivals.cohorts() {
+            let p = cohort.resample_probability();
+            let gaps = match tables.entry(p.to_bits()) {
+                Entry::Occupied(e) => cohorts[*e.get()].gaps.clone(),
+                Entry::Vacant(e) => {
+                    e.insert(cohorts.len());
+                    GapTable::new(1.0 / (1.0 - p).ln())
+                }
             };
-            run = Some((key, c));
-            if c != 0 && cohort_of.is_empty() {
-                cohort_of.reserve_exact(streams.len());
-                cohort_of.resize(a, 0);
-            }
-            if !cohort_of.is_empty() {
-                cohort_of.push(c);
-            }
+            cohorts.push(CohortKernel {
+                sampler: AliasSampler::new(cohort.sample_table()),
+                gaps,
+            });
         }
         PhaseKernel {
-            keys: streams
-                .iter()
-                .map(|s| CounterRng::new(s.stream_seed(), PHASE_PURPOSE).lane(0))
-                .collect(),
-            cohort_of,
+            keys: arrivals.keys(),
+            cohort_of: arrivals.cohort_of(),
             cohorts,
         }
     }
@@ -708,21 +671,12 @@ fn epoch_after(epoch: u32, gap: u64) -> u32 {
 /// array indices and can never reach it.
 const PHASE_SETUP_EPOCH: u64 = u64::MAX;
 
-/// The phase process's set-up: every agent starts at its stream's
-/// current phase, and its first resample epoch comes from a draw at the
-/// reserved setup coordinate.
-fn first_phases(
-    kernel: &PhaseKernel,
-    streams: &[PhasedUtility],
-    phase: &mut [f64],
-    next_change: &mut [u32],
-) {
-    for (i, s) in streams.iter().enumerate() {
-        phase[i] = s.phase_value();
-        next_change[i] = epoch_after(
-            0,
-            kernel.next_gap(i, kernel.keys[i].word(PHASE_SETUP_EPOCH, 0)),
-        );
+/// The phase process's set-up: every agent's first resample epoch comes
+/// from a draw at the reserved setup coordinate. (Its phase is the one
+/// it arrived in.)
+fn first_changes(kernel: &PhaseKernel<'_>, next_change: &mut [u32]) {
+    for (i, (next, key)) in next_change.iter_mut().zip(kernel.keys).enumerate() {
+        *next = epoch_after(0, kernel.next_gap(i, key.word(PHASE_SETUP_EPOCH, 0)));
     }
 }
 
@@ -734,11 +688,11 @@ const TRACK_CAP_BYTES: usize = 16 << 20;
 const TRACK_EVENT_BYTES: usize = 12;
 
 /// One population's phase trajectory, recorded once and replayed by
-/// every run on clones of the same streams.
+/// every run on the same arrivals.
 ///
-/// Pass A reads only the epoch, `next_change` and each stream's key and
+/// Pass A reads only the epoch, `next_change` and each agent's key and
 /// cohort, and nothing else writes `phase` or `next_change`: the phase
-/// lane at every epoch is a function of the streams and the epoch alone,
+/// lane at every epoch is a function of the arrivals and the epoch alone,
 /// whatever the policy, game, fault plan or trip history. So the
 /// recording is the kernel's own pass A run once over a phase and a
 /// `next_change` lane, keeping every resample. A replaying run scatters
@@ -756,7 +710,7 @@ pub(crate) struct PhaseTrack {
 }
 
 impl PhaseTrack {
-    /// Record `streams`' phase trajectory over `epochs` epochs, replacing
+    /// Record `arrivals`' phase trajectory over `epochs` epochs, replacing
     /// whatever was recorded before but keeping the buffers. Returns
     /// `Ok(false)`, with nothing recorded, when the recording would pass
     /// [`TRACK_CAP_BYTES`]: the expected size (the sum of resample
@@ -769,7 +723,7 @@ impl PhaseTrack {
     /// stopped recording keeps nothing.
     pub(crate) fn record(
         &mut self,
-        streams: &[PhasedUtility],
+        arrivals: &Arrivals,
         epochs: usize,
         guard: &RunGuard,
     ) -> crate::Result<bool> {
@@ -782,9 +736,8 @@ impl PhaseTrack {
         else {
             return Ok(false);
         };
-        let expected = streams
-            .iter()
-            .map(PhasedUtility::resample_probability)
+        let expected = (0..arrivals.len())
+            .map(|a| arrivals.cohort(a).resample_probability())
             .sum::<f64>()
             * epochs as f64;
         // Resamples are independent across agents, so their count
@@ -799,11 +752,11 @@ impl PhaseTrack {
         if !reserved {
             return Ok(false);
         }
-        let n = streams.len();
-        let kernel = PhaseKernel::new(streams);
-        let mut phase = vec![0.0; n];
+        let n = arrivals.len();
+        let kernel = PhaseKernel::new(arrivals);
+        let mut phase = arrivals.phases().to_vec();
         let mut next_change = vec![0u32; n];
-        first_phases(&kernel, streams, &mut phase, &mut next_change);
+        first_changes(&kernel, &mut next_change);
         let mut events = [0u32; EVENT_BLOCK];
         self.starts.push(0);
         for epoch in 0..epochs {
@@ -876,7 +829,7 @@ impl PhaseTrack {
 #[derive(Clone, Copy)]
 enum PhasePass<'a> {
     /// Sample the phase process.
-    Live(&'a PhaseKernel),
+    Live(&'a PhaseKernel<'a>),
     /// Replay a recording that covers the run.
     Replay(&'a PhaseTrack),
 }
@@ -910,11 +863,28 @@ struct Lanes {
 }
 
 impl Lanes {
-    fn new(n: usize) -> Self {
-        Lanes {
-            phase: vec![0.0; n],
-            next_change: vec![0; n],
-            states: vec![AgentState::Active; n],
+    /// The lanes of `n` agents. Set-up writes the phase, next-change and
+    /// state lanes in full, so they are reserved fallibly: a population
+    /// too large for memory is a typed error naming its agent count, not
+    /// an abort. The rest are zeroed lazily, so a lane a run never
+    /// writes (the fault overlays of a fault-free run) never becomes
+    /// resident.
+    fn new(n: usize) -> crate::Result<Self> {
+        fn filled<T: Clone>(n: usize, value: T) -> crate::Result<Vec<T>> {
+            let mut lane = Vec::new();
+            lane.try_reserve_exact(n)
+                .map_err(|_| SimError::InvalidParameter {
+                    name: "agents",
+                    value: n as f64,
+                    expected: "a population whose per-agent lanes fit in memory",
+                })?;
+            lane.resize(n, value);
+            Ok(lane)
+        }
+        Ok(Lanes {
+            phase: filled(n, 0.0)?,
+            next_change: filled(n, 0)?,
+            states: filled(n, AgentState::Active)?,
             blocked_until: vec![0; n],
             cool_until: vec![0; n],
             crashed: vec![false; n],
@@ -922,7 +892,7 @@ impl Lanes {
             sprinted: vec![false; n],
             churn_flag: vec![0; n],
             stick_flag: vec![false; n],
-        }
+        })
     }
 
     fn view(&mut self) -> LaneView<'_> {
@@ -1070,7 +1040,7 @@ struct EpochCtx<'a> {
 /// each block of lanes first writes its event offsets into a stack buffer
 /// without branching (the write cursor advances only past an event), and
 /// a dense loop then resamples just those agents: one counter word (keyed
-/// by the stream's own seed) splits into the alias-table bin and in-bin
+/// by the agent's own seed) splits into the alias-table bin and in-bin
 /// position draws, and a second turns into the next geometric gap.
 ///
 /// `on_change(i, value)` sees every resampled lane in ascending order:
@@ -1078,7 +1048,7 @@ struct EpochCtx<'a> {
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn advance_phases(
-    kernel: &PhaseKernel,
+    kernel: &PhaseKernel<'_>,
     epoch: u32,
     base: usize,
     phase: &mut [f64],
@@ -1832,8 +1802,9 @@ impl PassExec<'_> {
 
 /// Run one simulation — the engine's one entry point.
 ///
-/// `streams` supplies each agent's per-epoch sprint utility; `policy`
-/// makes the sprint decisions; `guard` may stop the run early; the agent
+/// `arrivals` supplies each agent's phase process, read only, so every
+/// run of a population can share one build; `policy` makes the sprint
+/// decisions; `guard` may stop the run early; the agent
 /// kernel fans out over `jobs` threads; `telemetry` observes (pass
 /// [`Telemetry::noop()`] for an unobserved run). Identical inputs and
 /// seed produce bit-identical results.
@@ -1867,10 +1838,30 @@ impl PassExec<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidParameter`] when the stream count does not
-/// match the configured agent count, [`SimError::DeadlineExceeded`] when
-/// a deadline passes and [`SimError::Cancelled`] when the guard's token
-/// is cancelled.
+/// Returns [`SimError::InvalidParameter`] when the agent count of
+/// `arrivals` does not match the configured one, or when the engine's
+/// per-agent lanes cannot be reserved, [`SimError::DeadlineExceeded`]
+/// when a deadline passes and [`SimError::Cancelled`] when the guard's
+/// token is cancelled.
+pub fn run_arrivals(
+    config: &SimConfig,
+    arrivals: &Arrivals,
+    policy: &mut dyn SprintPolicy,
+    guard: &RunGuard,
+    jobs: usize,
+    telemetry: &mut Telemetry,
+) -> crate::Result<SimResult> {
+    run_replaying(config, arrivals, policy, guard, jobs, telemetry, None).map(|(result, _)| result)
+}
+
+/// [`run_arrivals`] on sequential streams: the streams are converted to
+/// arrivals once ([`Arrivals::from_streams`]), and each stream's final
+/// phase is written back, so a caller holding the streams sees them
+/// advanced by the run.
+///
+/// # Errors
+///
+/// As [`run_arrivals`], with the stream count in place of the arrivals'.
 pub fn run_guarded(
     config: &SimConfig,
     streams: &mut [PhasedUtility],
@@ -1879,32 +1870,38 @@ pub fn run_guarded(
     jobs: usize,
     telemetry: &mut Telemetry,
 ) -> crate::Result<SimResult> {
-    run_replaying(config, streams, policy, guard, jobs, telemetry, None)
+    let arrivals = Arrivals::from_streams(streams)?;
+    let (result, phases) = run_replaying(config, &arrivals, policy, guard, jobs, telemetry, None)?;
+    for (s, p) in streams.iter_mut().zip(phases) {
+        s.sync_phase(p);
+    }
+    Ok(result)
 }
 
-/// [`run_guarded`], with pass A replaying `track` when it covers the run
-/// ([`PhaseTrack::covers`]) and sampling live otherwise. `track` must be
-/// a recording of `streams` as they are now: a trial pool hands out a
-/// pair's recording only together with clones of the streams it was
-/// recorded from. A replayed run builds no phase kernel, makes no
-/// first-phase draws and never reads `next_change`, and its result and
-/// final phases equal the live run's bit for bit.
+/// [`run_arrivals`], with pass A replaying `track` when it covers the
+/// run ([`PhaseTrack::covers`]) and sampling live otherwise, returning
+/// the result and every agent's final phase. `track` must be a recording
+/// of `arrivals`: a trial pool hands out a pair's recording only
+/// together with the arrivals it was recorded from. A replayed run
+/// builds no phase kernel, makes no first-phase draws and never reads
+/// `next_change`, and its result and final phases equal the live run's
+/// bit for bit.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run_replaying(
     config: &SimConfig,
-    streams: &mut [PhasedUtility],
+    arrivals: &Arrivals,
     policy: &mut dyn SprintPolicy,
     guard: &RunGuard,
     jobs: usize,
     telemetry: &mut Telemetry,
     track: Option<&PhaseTrack>,
-) -> crate::Result<SimResult> {
+) -> crate::Result<(SimResult, Vec<f64>)> {
     let n = config.game.n_agents() as usize;
-    if streams.len() != n {
+    if arrivals.len() != n {
         return Err(SimError::InvalidParameter {
-            name: "streams",
-            value: streams.len() as f64,
-            expected: "one utility stream per agent",
+            name: "arrivals",
+            value: arrivals.len() as f64,
+            expected: "one arrival (or utility stream) per agent",
         });
     }
     if let UtilityEstimation::Noisy { relative_sd } = config.options.estimation {
@@ -1968,18 +1965,14 @@ pub(crate) fn run_replaying(
 
     // All per-run heap allocation happens here; the epoch loop below is
     // allocation-free.
-    let mut lanes = Lanes::new(n);
+    let mut lanes = Lanes::new(n)?;
+    lanes.phase.copy_from_slice(arrivals.phases());
     let kernel;
     let phases = match track.filter(|t| t.covers(n, config.epochs)) {
-        Some(track) => {
-            for (p, s) in lanes.phase.iter_mut().zip(streams.iter()) {
-                *p = s.phase_value();
-            }
-            PhasePass::Replay(track)
-        }
+        Some(track) => PhasePass::Replay(track),
         None => {
-            kernel = PhaseKernel::new(streams);
-            first_phases(&kernel, streams, &mut lanes.phase, &mut lanes.next_change);
+            kernel = PhaseKernel::new(arrivals);
+            first_changes(&kernel, &mut lanes.next_change);
             PhasePass::Live(&kernel)
         }
     };
@@ -2383,12 +2376,6 @@ pub(crate) fn run_replaying(
     };
     outcome?;
 
-    // The streams observe their own evolution: write the final phase
-    // back so callers holding the streams see them advanced by the run.
-    for (s, &p) in streams.iter_mut().zip(lanes.phase.iter()) {
-        s.sync_phase(p);
-    }
-
     let result = SimResult {
         n_agents: config.game.n_agents(),
         epochs: config.epochs,
@@ -2429,7 +2416,7 @@ pub(crate) fn run_replaying(
         }
         telemetry.export_recorder_metrics();
     }
-    Ok(result)
+    Ok((result, lanes.phase))
 }
 
 #[cfg(test)]
@@ -3081,7 +3068,8 @@ mod tests {
             spawned[0].clone(),
         ];
         mixed.extend([one_off(1.0), one_off(8.0), spawned[1].clone()]);
-        let kernel = PhaseKernel::new(&mixed);
+        let arrivals = Arrivals::from_streams(&mixed).unwrap();
+        let kernel = PhaseKernel::new(&arrivals);
         assert_eq!(kernel.cohorts.len(), 4);
         assert_eq!(kernel.cohort_of, [0, 0, 1, 1, 0, 2, 3, 1]);
         for (a, s) in mixed.iter().enumerate() {
@@ -3109,14 +3097,14 @@ mod tests {
             (&[Benchmark::Svm][..], false),
             (&[Benchmark::Svm, Benchmark::PageRank][..], true),
         ] {
-            let streams = Population::heterogeneous(benchmarks, 6)
+            let arrivals = Population::heterogeneous(benchmarks, 6)
                 .unwrap()
-                .spawn_streams(5)
+                .arrivals(5, 1)
                 .unwrap();
-            let kernel = PhaseKernel::new(&streams);
+            let kernel = PhaseKernel::new(&arrivals);
             assert_eq!(kernel.cohort_of.is_empty(), !lane, "{benchmarks:?}");
             let rng = CounterRng::new(3, 4);
-            for a in 0..streams.len() {
+            for a in 0..arrivals.len() {
                 for w in (0..2000).map(|e| rng.word(a as u64, e, 0)) {
                     let u = (w >> 11) as f64 / (1u64 << 53) as f64;
                     assert_eq!(kernel.next_gap(a, w), kernel.gap(a, u), "agent {a}");
@@ -3147,6 +3135,9 @@ mod tests {
         }
     }
 
+    /// A run from arrivals — live, and replaying a recording of them —
+    /// equals [`run_guarded`] on the same population's streams bit for
+    /// bit: the serialized result and every agent's final phase.
     #[test]
     fn a_replayed_run_equals_the_live_run_bitwise() {
         use crate::faults::StuckSprinters;
@@ -3162,7 +3153,8 @@ mod tests {
             EPOCHS,
         )
         .unwrap();
-        let built = scenario.population().spawn_streams(13).unwrap();
+        let streams = scenario.population().spawn_streams(13).unwrap();
+        let built = scenario.population().arrivals(13, 2).unwrap();
         // A recording longer than every run below.
         let mut track = PhaseTrack::default();
         assert!(track
@@ -3201,34 +3193,51 @@ mod tests {
                     let config = SimConfig::new(*scenario.game(), EPOCHS, 17)
                         .unwrap()
                         .with_options(options);
-                    let run = |track: Option<&PhaseTrack>| {
-                        let mut streams = built.clone();
-                        let mut policy = replay_policy(&scenario, if k == 5 { 2 } else { k });
-                        let mut telemetry = if k == 5 {
+                    let policy = || replay_policy(&scenario, if k == 5 { 2 } else { k });
+                    let telemetry = || {
+                        if k == 5 {
                             Telemetry::in_memory()
                         } else {
                             Telemetry::noop()
-                        };
-                        let result = run_replaying(
+                        }
+                    };
+                    let run = |track: Option<&PhaseTrack>| {
+                        let (result, phases) = run_replaying(
                             &config,
-                            &mut streams,
-                            policy.as_mut(),
+                            &built,
+                            policy().as_mut(),
                             &RunGuard::default(),
                             jobs,
-                            &mut telemetry,
+                            &mut telemetry(),
                             track,
                         )
                         .unwrap();
-                        let phases: Vec<u64> =
-                            streams.iter().map(|s| s.phase_value().to_bits()).collect();
+                        let phases: Vec<u64> = phases.iter().map(|p| p.to_bits()).collect();
                         (serde_json::to_string(&result).unwrap(), phases)
                     };
+                    let mut streamed = streams.clone();
+                    let result = run_guarded(
+                        &config,
+                        &mut streamed,
+                        policy().as_mut(),
+                        &RunGuard::default(),
+                        jobs,
+                        &mut telemetry(),
+                    )
+                    .unwrap();
+                    let streamed = (
+                        serde_json::to_string(&result).unwrap(),
+                        streamed
+                            .iter()
+                            .map(|s| s.phase_value().to_bits())
+                            .collect::<Vec<_>>(),
+                    );
                     let live = run(None);
                     let replayed = run(Some(&track));
-                    assert!(
-                        live == replayed,
-                        "policy {k}, plan {p}, jobs {jobs}, chunk {chunk}, {estimation:?}"
-                    );
+                    let case_name =
+                        format!("policy {k}, plan {p}, jobs {jobs}, chunk {chunk}, {estimation:?}");
+                    assert!(live == streamed, "live: {case_name}");
+                    assert!(replayed == streamed, "replayed: {case_name}");
                     case += 1;
                 }
             }
@@ -3238,7 +3247,10 @@ mod tests {
 
     #[test]
     fn a_recording_over_the_cap_or_stopped_keeps_nothing() {
-        let built = streams(Benchmark::Svm, 1000, 3);
+        let built = Population::homogeneous(Benchmark::Svm, 1000)
+            .unwrap()
+            .arrivals(3, 1)
+            .unwrap();
         let mut track = PhaseTrack::default();
         assert!(track.record(&built, 30, &RunGuard::default()).unwrap());
         assert!(track.covers(1000, 30));

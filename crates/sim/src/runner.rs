@@ -200,7 +200,7 @@ fn compare_legs(
             let leg = &legs[id / per_leg];
             let policy = policies[id / seeds.len() % policies.len()];
             let seed = seeds[id % seeds.len()];
-            let (mut streams, track) = built.streams(
+            let (arrivals, track) = built.arrivals(
                 0,
                 leg.population(),
                 seed,
@@ -209,7 +209,7 @@ fn compare_legs(
                 &mut RunGuard::default(),
             )?;
             leg.execute_on(
-                &mut streams,
+                arrivals,
                 policy,
                 seed,
                 intra_jobs,

@@ -10,8 +10,7 @@ use sprint_game::cooperative::CooperativeSearch;
 use sprint_game::multi::{AgentTypeSpec, MultiSolver};
 use sprint_game::{EquilibriumCache, GameConfig, GameError, MeanFieldSolver, ThresholdStrategy};
 use sprint_stats::density::DiscreteDensity;
-use sprint_workloads::generator::Population;
-use sprint_workloads::phases::PhasedUtility;
+use sprint_workloads::generator::{Arrivals, Population};
 use sprint_workloads::Benchmark;
 
 use sprint_telemetry::{Event, Telemetry};
@@ -439,8 +438,8 @@ impl Scenario {
 
     /// Run one simulation of this scenario under `kind` with `seed` — the
     /// unified entry point. The population build
-    /// ([`Population::spawn_streams_jobs`]) and the engine's agent kernel
-    /// ([`engine::run_guarded`]) fan out over `jobs` threads; the result is
+    /// ([`Population::arrivals`]) and the engine's agent kernel
+    /// ([`engine::run_arrivals`]) fan out over `jobs` threads; the result is
     /// byte-identical at every job count. Pass [`Telemetry::noop()`] for an
     /// unobserved run; with an enabled kit the offline solve narrates
     /// through the recorder first (residual curves for E-T), then the
@@ -460,16 +459,16 @@ impl Scenario {
         jobs: usize,
         telemetry: &mut Telemetry,
     ) -> crate::Result<SimResult> {
-        let mut streams = self.population.spawn_streams_jobs(seed, jobs)?;
-        self.execute_on(&mut streams, kind, seed, jobs, telemetry, None)
+        let arrivals = self.population.arrivals(seed, jobs)?;
+        self.execute_on(&arrivals, kind, seed, jobs, telemetry, None)
     }
 
-    /// [`Scenario::execute`] on `streams` already built for `seed`, so a
+    /// [`Scenario::execute`] on `arrivals` already built for `seed`, so a
     /// trial pool can run every policy of a seed on one build, replaying
-    /// `track`, the streams' recorded phase trajectory, when there is one.
+    /// `track`, the arrivals' recorded phase trajectory, when there is one.
     pub(crate) fn execute_on(
         &self,
-        streams: &mut [PhasedUtility],
+        arrivals: &Arrivals,
         kind: PolicyKind,
         seed: u64,
         jobs: usize,
@@ -484,13 +483,14 @@ impl Scenario {
         }
         engine::run_replaying(
             &config,
-            streams,
+            arrivals,
             policy.as_mut(),
             &engine::RunGuard::default(),
             jobs,
             telemetry,
             track,
         )
+        .map(|(result, _)| result)
     }
 }
 

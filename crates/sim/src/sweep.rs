@@ -887,7 +887,7 @@ fn run_trial(
         )?);
     }
     let config = SimConfig::new(game, spec.epochs, trial.seed)?.with_options(*scenario.options());
-    let (mut streams, track) = built.streams(
+    let (arrivals, track) = built.arrivals(
         trial.population,
         scenario.population(),
         trial.seed,
@@ -895,9 +895,9 @@ fn run_trial(
         spec.epochs,
         guard,
     )?;
-    let result = engine::run_replaying(
+    let (result, _) = engine::run_replaying(
         &config,
-        &mut streams,
+        arrivals,
         policy.as_mut(),
         guard,
         intra_jobs,

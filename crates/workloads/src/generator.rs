@@ -5,17 +5,20 @@
 //! application ("randomized arrivals cause application phases to overlap
 //! in diverse ways"); a second set evaluates *heterogeneous* agents who
 //! launch different applications. This module constructs both population
-//! shapes and instantiates per-agent utility streams with independent
-//! seeds and randomized arrival offsets.
+//! shapes and walks each agent's randomized arrival from an independent
+//! seed, into one of two forms: flat [`Arrivals`] lanes, which is what
+//! the simulation engine runs on, or sequential [`PhasedUtility`]
+//! streams for callers that draw utilities one epoch at a time.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::Rng;
 
-use sprint_stats::rng::SeedSequence;
+use sprint_stats::rng::{CounterLane, SeedSequence};
 
 use crate::benchmark::Benchmark;
-use crate::phases::{Cohort, PhasedUtility, DEFAULT_PERSISTENCE_EPOCHS};
+use crate::phases::{phase_key, Cohort, PhasedUtility, DEFAULT_PERSISTENCE_EPOCHS};
 use crate::WorkloadError;
 
 /// Maximum random arrival offset, epochs. Offsets decorrelate the phase
@@ -120,12 +123,18 @@ impl Population {
         &self.assignments
     }
 
-    /// The distinct application types present, in suite order.
+    /// The distinct application types present, in suite order, found in
+    /// one pass over the agents.
     #[must_use]
     pub fn distinct_types(&self) -> Vec<Benchmark> {
+        // A benchmark's discriminant is its index in the suite order.
+        let mut present = [false; Benchmark::ALL.len()];
+        for &b in &self.assignments {
+            present[b as usize] = true;
+        }
         Benchmark::ALL
             .into_iter()
-            .filter(|b| self.assignments.contains(b))
+            .filter(|&b| present[b as usize])
             .collect()
     }
 
@@ -133,6 +142,68 @@ impl Population {
     #[must_use]
     pub fn count_of(&self, benchmark: Benchmark) -> usize {
         self.assignments.iter().filter(|&&b| b == benchmark).count()
+    }
+
+    /// One shared cohort per distinct benchmark, in suite order, and the
+    /// position of each benchmark's cohort in that list, indexed by the
+    /// benchmark's discriminant (0 for a benchmark no agent runs).
+    fn cohorts(&self) -> crate::Result<(Vec<Arc<Cohort>>, [u32; Benchmark::ALL.len()])> {
+        let mut index = [0; Benchmark::ALL.len()];
+        let cohorts = self
+            .distinct_types()
+            .into_iter()
+            .enumerate()
+            .map(|(c, b)| {
+                index[b as usize] = c as u32;
+                Cohort::new(b.speedup_distribution(), DEFAULT_PERSISTENCE_EPOCHS).map(Arc::new)
+            })
+            .collect::<crate::Result<_>>()?;
+        Ok((cohorts, index))
+    }
+
+    /// The population's agents arrived, as flat lanes: agent `i` is
+    /// seeded with the `(i+1)`-th seed of `master_seed`'s
+    /// [`SeedSequence`] and walks the same arrival as in
+    /// [`Population::spawn_streams_jobs`], split over up to `jobs` scoped
+    /// threads, so the lanes are bit-identical at every job count and
+    /// hold exactly the streams' phase keys and phases.
+    ///
+    /// Each lane is allocated once, at its final length.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError::InvalidParameter`] naming the agent count when a
+    /// lane cannot be reserved.
+    pub fn arrivals(&self, master_seed: u64, jobs: usize) -> crate::Result<Arrivals> {
+        let (cohorts, index) = self.cohorts()?;
+        let n = self.len();
+        let mut cohort_of = Vec::new();
+        if cohorts.len() > 1 {
+            reserve(&mut cohort_of, n)?;
+            cohort_of.extend(self.assignments.iter().map(|&b| index[b as usize]));
+        }
+        let mut keys = lane(n, phase_key(0))?;
+        let mut phases = lane(n, 0.0)?;
+        let seeds = SeedSequence::new(master_seed);
+        let span = span_len(n, jobs);
+        let cohort_at = |i: usize| &cohorts[index[self.assignments[i] as usize] as usize];
+        walk_spans(
+            span,
+            keys.chunks_mut(span).zip(phases.chunks_mut(span)),
+            |start, (keys, phases)| {
+                for (i, (key, phase)) in (start..).zip(keys.iter_mut().zip(phases)) {
+                    let (seed, offset) = arrival(seeds, i);
+                    *key = phase_key(seed);
+                    *phase = cohort_at(i).arrive(seed, offset).0;
+                }
+            },
+        );
+        Ok(Arrivals {
+            cohorts,
+            cohort_of,
+            keys,
+            phases,
+        })
     }
 
     /// Instantiate per-agent utility streams with independent seeds and
@@ -165,51 +236,198 @@ impl Population {
         master_seed: u64,
         jobs: usize,
     ) -> crate::Result<Vec<PhasedUtility>> {
-        let cohorts: Vec<(Benchmark, Arc<Cohort>)> = self
-            .distinct_types()
-            .into_iter()
-            .map(|b| {
-                Cohort::new(b.speedup_distribution(), DEFAULT_PERSISTENCE_EPOCHS)
-                    .map(|c| (b, Arc::new(c)))
-            })
-            .collect::<crate::Result<_>>()?;
+        let (cohorts, index) = self.cohorts()?;
         let mut streams: Vec<PhasedUtility> = self
             .assignments
             .iter()
-            .map(|&b| {
-                let (_, cohort) = cohorts
-                    .iter()
-                    .find(|(t, _)| *t == b)
-                    .expect("every assignment is a distinct type");
-                PhasedUtility::shell(Arc::clone(cohort))
-            })
+            .map(|&b| PhasedUtility::shell(Arc::clone(&cohorts[index[b as usize] as usize])))
             .collect();
 
         let seeds = SeedSequence::new(master_seed);
-        let spans = jobs.clamp(1, (streams.len() / MIN_SPAN_AGENTS).max(1));
-        let span = streams.len().div_ceil(spans).max(1);
-        std::thread::scope(|scope| {
-            let mut chunks = streams.chunks_mut(span).enumerate();
-            let first = chunks.next();
-            for (k, chunk) in chunks {
-                scope.spawn(move || arrive(chunk, seeds, k * span));
-            }
-            if let Some((_, chunk)) = first {
-                arrive(chunk, seeds, 0);
+        let span = span_len(streams.len(), jobs);
+        walk_spans(span, streams.chunks_mut(span), |start, chunk| {
+            for (i, stream) in (start..).zip(chunk) {
+                let (seed, offset) = arrival(seeds, i);
+                stream.arrive(seed, offset);
             }
         });
         Ok(streams)
     }
 }
 
-/// Run the arrival walk of the agents in `chunk`, the first of which is
-/// agent `start`: seed each from its index, draw its first phase, then
-/// advance it by a seed-derived offset.
-fn arrive(chunk: &mut [PhasedUtility], seeds: SeedSequence, start: usize) {
-    for (i, stream) in (start..).zip(chunk) {
-        let seed = seeds.seed_at(i as u64);
-        let offset = (seed >> 32) as usize % MAX_ARRIVAL_OFFSET_EPOCHS;
-        stream.arrive(seed, offset);
+/// Agent `i`'s seed and arrival offset: the `(i+1)`-th seed of `seeds`,
+/// and an offset derived from it.
+fn arrival(seeds: SeedSequence, i: usize) -> (u64, usize) {
+    let seed = seeds.seed_at(i as u64);
+    (seed, (seed >> 32) as usize % MAX_ARRIVAL_OFFSET_EPOCHS)
+}
+
+/// The span of agents each thread walks when `n` agents split over up
+/// to `jobs` threads, none of them with fewer than [`MIN_SPAN_AGENTS`]
+/// unless the whole population has fewer.
+fn span_len(n: usize, jobs: usize) -> usize {
+    let spans = jobs.clamp(1, (n / MIN_SPAN_AGENTS).max(1));
+    n.div_ceil(spans).max(1)
+}
+
+/// Run `walk(start, chunk)` for every chunk, the `k`-th of which starts
+/// at agent `k × span`: the first on the caller's thread, each other on
+/// a scoped thread of its own.
+fn walk_spans<C: Send>(
+    span: usize,
+    chunks: impl Iterator<Item = C>,
+    walk: impl Fn(usize, C) + Sync,
+) {
+    let walk = &walk;
+    std::thread::scope(|scope| {
+        let mut chunks = chunks.enumerate();
+        let first = chunks.next();
+        for (k, chunk) in chunks {
+            scope.spawn(move || walk(k * span, chunk));
+        }
+        if let Some((_, chunk)) = first {
+            walk(0, chunk);
+        }
+    });
+}
+
+/// The error for a population whose per-agent lanes cannot be reserved.
+fn too_large(agents: usize) -> WorkloadError {
+    WorkloadError::InvalidParameter {
+        name: "agents",
+        value: agents as f64,
+        expected: "a population whose per-agent lanes fit in memory",
+    }
+}
+
+/// Reserve room for exactly `n` more values in `lane`, or fail with a
+/// typed error naming `n` instead of aborting.
+fn reserve<T>(lane: &mut Vec<T>, n: usize) -> crate::Result<()> {
+    lane.try_reserve_exact(n).map_err(|_| too_large(n))
+}
+
+/// A lane of `n` copies of `fill`, reserved as [`reserve`] does.
+fn lane<T: Clone>(n: usize, fill: T) -> crate::Result<Vec<T>> {
+    let mut lane = Vec::new();
+    reserve(&mut lane, n)?;
+    lane.resize(n, fill);
+    Ok(lane)
+}
+
+/// A population after its randomized arrival, as the engine reads it:
+/// per agent its phase-draw key ([`phase_key`] of its seed) and the phase
+/// it arrived in, 16 B in two flat lanes; the cohorts the agents draw
+/// from; and, only when there are several, a 4-B cohort index per agent.
+///
+/// The same walk as a [`PhasedUtility`] stream's, without the generator
+/// state that only a sequential [`PhasedUtility::next_utility`] reads.
+/// Nothing mutates arrivals after the build, so every run of a
+/// population can share one.
+#[derive(Debug)]
+pub struct Arrivals {
+    cohorts: Vec<Arc<Cohort>>,
+    /// Index into `cohorts` per agent; empty when there is one cohort.
+    cohort_of: Vec<u32>,
+    keys: Vec<CounterLane>,
+    phases: Vec<f64>,
+}
+
+impl Arrivals {
+    /// The arrivals of `streams` as they are now: their cohorts (one per
+    /// distinct shared cohort, in order of first appearance), keys and
+    /// current phases. Spawned streams share one cohort per benchmark;
+    /// each stream built on its own carries its own cohort.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError::InvalidParameter`] naming the stream count when a
+    /// lane cannot be reserved.
+    pub fn from_streams(streams: &[PhasedUtility]) -> crate::Result<Self> {
+        let n = streams.len();
+        let mut arrivals = Arrivals {
+            cohorts: Vec::new(),
+            cohort_of: Vec::new(),
+            keys: Vec::new(),
+            phases: Vec::new(),
+        };
+        reserve(&mut arrivals.keys, n)?;
+        reserve(&mut arrivals.phases, n)?;
+        // Spawned agents come in runs of one cohort (a homogeneous
+        // population is a single run), so an agent that continues its
+        // predecessor's run costs one compare, not a hash lookup. The
+        // cohort lane is written only once a second cohort appears.
+        let mut seen: HashMap<*const Cohort, u32> = HashMap::new();
+        let mut run: Option<(*const Cohort, u32)> = None;
+        for (a, s) in streams.iter().enumerate() {
+            let cohort = s.cohort();
+            let id = Arc::as_ptr(cohort);
+            let c = match run {
+                Some((last, c)) if last == id => c,
+                _ => *seen.entry(id).or_insert_with(|| {
+                    arrivals.cohorts.push(Arc::clone(cohort));
+                    arrivals.cohorts.len() as u32 - 1
+                }),
+            };
+            run = Some((id, c));
+            if c != 0 && arrivals.cohort_of.is_empty() {
+                reserve(&mut arrivals.cohort_of, n)?;
+                arrivals.cohort_of.resize(a, 0);
+            }
+            if !arrivals.cohort_of.is_empty() {
+                arrivals.cohort_of.push(c);
+            }
+            arrivals.keys.push(phase_key(s.stream_seed()));
+            arrivals.phases.push(s.phase_value());
+        }
+        Ok(arrivals)
+    }
+
+    /// Number of agents.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.phases.len()
+    }
+
+    /// Whether there are no agents.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.phases.is_empty()
+    }
+
+    /// The cohorts the agents draw their phases from.
+    #[must_use]
+    pub fn cohorts(&self) -> &[Arc<Cohort>] {
+        &self.cohorts
+    }
+
+    /// Agent `agent`'s cohort.
+    ///
+    /// # Panics
+    ///
+    /// When `agent` is not below [`Arrivals::len`].
+    #[must_use]
+    pub fn cohort(&self, agent: usize) -> &Cohort {
+        assert!(agent < self.len(), "agent {agent} of {}", self.len());
+        &self.cohorts[self.cohort_of.get(agent).map_or(0, |&c| c as usize)]
+    }
+
+    /// Each agent's index into [`Arrivals::cohorts`]; empty when there is
+    /// one cohort, so that every agent's is 0.
+    #[must_use]
+    pub fn cohort_of(&self) -> &[u32] {
+        &self.cohort_of
+    }
+
+    /// Each agent's phase-draw key.
+    #[must_use]
+    pub fn keys(&self) -> &[CounterLane] {
+        &self.keys
+    }
+
+    /// The phase each agent arrived in.
+    #[must_use]
+    pub fn phases(&self) -> &[f64] {
+        &self.phases
     }
 }
 
@@ -291,5 +509,9 @@ mod tests {
             p.distinct_types(),
             vec![Benchmark::NaiveBayes, Benchmark::TriangleCounting]
         );
+        // The one-pass scan indexes the suite by discriminant.
+        for (i, b) in Benchmark::ALL.into_iter().enumerate() {
+            assert_eq!(b as usize, i, "{b:?}");
+        }
     }
 }

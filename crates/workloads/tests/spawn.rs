@@ -1,12 +1,12 @@
 //! Population builds are a function of the population and the master
 //! seed alone: the thread budget of `spawn_streams_jobs` never changes a
-//! stream.
+//! stream, and flat arrivals hold exactly the streams' keys and phases.
 
 use std::sync::Arc;
 
 use sprint_stats::rng::SeedSequence;
-use sprint_workloads::generator::Population;
-use sprint_workloads::phases::PhasedUtility;
+use sprint_workloads::generator::{Arrivals, Population};
+use sprint_workloads::phases::{phase_key, PhasedUtility};
 use sprint_workloads::Benchmark;
 
 /// Everything observable about a stream: its seed, the phase it will
@@ -41,6 +41,47 @@ fn streams_are_identical_at_every_job_count() {
         for jobs in [1, 2, 3, 8] {
             let spawned = observe(&mut population.spawn_streams_jobs(master, jobs).unwrap());
             assert!(spawned == reference, "jobs = {jobs} changed a stream");
+        }
+    }
+}
+
+#[test]
+fn arrivals_hold_the_streams_keys_and_phases_at_every_job_count() {
+    // One span, and five 2^14-agent spans plus three.
+    for n in [1000, 5 * (1 << 14) + 3] {
+        let homogeneous = Population::homogeneous(Benchmark::Svm, n).unwrap();
+        let mixed =
+            Population::heterogeneous(&[Benchmark::Svm, Benchmark::PageRank, Benchmark::Kmeans], n)
+                .unwrap();
+        for (population, master, cohorts) in [(&homogeneous, 11u64, 1), (&mixed, u64::MAX - 2, 3)] {
+            let streams = population.spawn_streams(master).unwrap();
+            // The stream adapter's conversion, and the direct build at
+            // every job count, agree with the streams agent by agent.
+            let converted = Arrivals::from_streams(&streams).unwrap();
+            let built = [1, 2, 3, 8].map(|jobs| (jobs, population.arrivals(master, jobs).unwrap()));
+            for (jobs, arrivals) in
+                std::iter::once((0, &converted)).chain(built.iter().map(|(jobs, a)| (*jobs, a)))
+            {
+                assert_eq!(arrivals.len(), n, "jobs {jobs}");
+                assert_eq!(arrivals.cohorts().len(), cohorts, "jobs {jobs}");
+                let lane = if cohorts > 1 { n } else { 0 };
+                assert_eq!(arrivals.cohort_of().len(), lane, "jobs {jobs}");
+                for (i, s) in streams.iter().enumerate() {
+                    assert_eq!(
+                        arrivals.keys()[i],
+                        phase_key(s.stream_seed()),
+                        "agent {i}, jobs {jobs}"
+                    );
+                    assert_eq!(
+                        arrivals.phases()[i].to_bits(),
+                        s.phase_value().to_bits(),
+                        "agent {i}, jobs {jobs}"
+                    );
+                    let cohort = arrivals.cohort(i);
+                    assert_eq!(cohort.resample_probability(), s.resample_probability());
+                    assert_eq!(cohort.sample_table(), s.sample_table(), "agent {i}");
+                }
+            }
         }
     }
 }
