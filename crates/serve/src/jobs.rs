@@ -17,9 +17,9 @@
 
 use sprint_game::EquilibriumCache;
 use sprint_sim::control::{ControlConfig, DetectorConfig};
-use sprint_sim::engine::{self, CancelToken, Interrupt, RunGuard, SimConfig};
+use sprint_sim::engine::{CancelToken, Interrupt, RunGuard};
 use sprint_sim::faults::FaultPlan;
-use sprint_sim::policy::{PolicyKind, SprintPolicy};
+use sprint_sim::policy::PolicyKind;
 use sprint_sim::runner::{self, ChaosReport, ResilienceReport};
 use sprint_sim::scenario::{Scenario, SolveSummary};
 use sprint_sim::sweep::{run_sweep_shared, Supervision, SweepSpec};
@@ -514,23 +514,6 @@ fn execute_run(
     telemetry: &mut Telemetry,
 ) -> crate::Result<RunSummary> {
     let scenario = run.scenario()?;
-    let (mut policy, solve): (Box<dyn SprintPolicy>, Option<SolveSummary>) = match run.policy {
-        PolicyKind::EquilibriumThreshold => {
-            let (policy, summary) = scenario
-                .equilibrium_policy_cached_cold(cache)
-                .map_err(job_err)?;
-            (Box::new(policy), Some(summary))
-        }
-        kind => (
-            scenario
-                .policy(kind, run.seed, &mut Telemetry::noop())
-                .map_err(job_err)?,
-            None,
-        ),
-    };
-    let config = SimConfig::new(*scenario.game(), scenario.epochs(), run.seed)
-        .map_err(job_err)?
-        .with_options(*scenario.options());
     let jobs = resolve_run_jobs(run.jobs, opts);
     let arrivals = scenario
         .population()
@@ -540,7 +523,18 @@ fn execute_run(
         deadline: None,
         cancel: cancel.cloned(),
     };
-    let result = engine::run_arrivals(&config, &arrivals, policy.as_mut(), &guard, jobs, telemetry)
+    let (result, solve) = scenario
+        .run_trial(
+            run.policy,
+            run.seed,
+            &arrivals,
+            None,
+            Some(cache),
+            AdversaryMix::honest(),
+            &guard,
+            jobs,
+            telemetry,
+        )
         .map_err(job_err)?;
     Ok(RunSummary {
         benchmark: run.benchmark.clone(),

@@ -208,15 +208,18 @@ fn compare_legs(
                 leg.epochs(),
                 &mut RunGuard::default(),
             )?;
-            leg.execute_on(
-                arrivals,
+            leg.run_trial(
                 policy,
                 seed,
+                arrivals,
+                track,
+                None,
+                AdversaryMix::honest(),
+                &RunGuard::default(),
                 intra_jobs,
                 &mut Telemetry::noop(),
-                track,
             )
-            .map(|r| TrialFacts {
+            .map(|(r, _)| TrialFacts {
                 tasks: r.tasks_per_agent_epoch(),
                 occupancy: r.occupancy().fractions(),
                 sprinters: r.mean_sprinters(),

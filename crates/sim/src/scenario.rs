@@ -16,11 +16,14 @@ use sprint_workloads::Benchmark;
 use sprint_telemetry::{Event, Telemetry};
 
 use crate::engine::{
-    self, PhaseTrack, RecoverySemantics, RunOptions, SimConfig, TripInterruption, UtilityEstimation,
+    self, PhaseTrack, RecoverySemantics, RunGuard, RunOptions, SimConfig, TripInterruption,
+    UtilityEstimation,
 };
 use crate::faults::FaultPlan;
 use crate::metrics::SimResult;
-use crate::policies::{ExponentialBackoff, Greedy, ThresholdPolicy};
+use crate::policies::{
+    AdversarialPopulation, AdversaryMix, ExponentialBackoff, Greedy, ThresholdPolicy,
+};
 use crate::policy::{PolicyKind, SprintPolicy};
 use crate::SimError;
 
@@ -438,20 +441,20 @@ impl Scenario {
 
     /// Run one simulation of this scenario under `kind` with `seed` — the
     /// unified entry point. The population build
-    /// ([`Population::arrivals`]) and the engine's agent kernel
-    /// ([`engine::run_arrivals`]) fan out over `jobs` threads; the result is
-    /// byte-identical at every job count. Pass [`Telemetry::noop()`] for an
-    /// unobserved run; with an enabled kit the offline solve narrates
-    /// through the recorder first (residual curves for E-T), then the
-    /// engine streams per-epoch events, metrics, and spans into the same
-    /// [`Telemetry`] bundle.
+    /// ([`Population::arrivals`]) and the engine's agent kernel fan out
+    /// over `jobs` threads; the result is byte-identical at every job
+    /// count. Pass [`Telemetry::noop()`] for an unobserved run; with an
+    /// enabled kit the offline solve narrates through the recorder first
+    /// (residual curves for E-T), then the engine streams per-epoch
+    /// events, metrics, and spans into the same [`Telemetry`] bundle.
     ///
     /// Telemetry never alters the simulation: the returned [`SimResult`]
     /// is bit-identical with telemetry on or off.
     ///
     /// # Errors
     ///
-    /// Propagates policy construction and simulation errors.
+    /// Propagates population-build, policy construction and simulation
+    /// errors.
     pub fn execute(
         &self,
         kind: PolicyKind,
@@ -460,37 +463,83 @@ impl Scenario {
         telemetry: &mut Telemetry,
     ) -> crate::Result<SimResult> {
         let arrivals = self.population.arrivals(seed, jobs)?;
-        self.execute_on(&arrivals, kind, seed, jobs, telemetry, None)
+        let honest = AdversaryMix::honest();
+        let guard = RunGuard::default();
+        self.run_trial(
+            kind, seed, &arrivals, None, None, honest, &guard, jobs, telemetry,
+        )
+        .map(|(result, _)| result)
     }
 
-    /// [`Scenario::execute`] on `arrivals` already built for `seed`, so a
-    /// trial pool can run every policy of a seed on one build, replaying
-    /// `track`, the arrivals' recorded phase trajectory, when there is one.
-    pub(crate) fn execute_on(
+    /// Run `kind` with `seed` on `arrivals`, this scenario's population
+    /// built for `seed` — the one code that turns a policy, a seed and a
+    /// build into a run: Run jobs, sweep and runner trials and
+    /// [`Scenario::execute`] all run through it.
+    ///
+    /// - **Policy.** With a `cache`, E-T solves through it cold and
+    ///   unnarrated and its [`SolveSummary`] comes back with the result
+    ///   ([`Scenario::equilibrium_policy_cached_cold`]). Without one, the
+    ///   policy is built narrated into `telemetry` and, with an enabled
+    ///   kit, timed as `scenario.solve`. The other kinds solve nothing
+    ///   observable either way.
+    /// - **Adversaries.** A `mix` with a positive fraction turns that
+    ///   share of the agents adversarial ([`AdversarialPopulation`]).
+    /// - **Run.** The engine runs under `guard` on `jobs` threads,
+    ///   observed by `telemetry`, and replays `track` — a recording the
+    ///   crate's trial pool made of these arrivals — when it covers the
+    ///   run. Callers outside the crate pass `None` and sample live; the
+    ///   result is the same bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates policy construction and simulation errors, and the
+    /// guard's.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_trial(
         &self,
-        arrivals: &Arrivals,
         kind: PolicyKind,
         seed: u64,
+        arrivals: &Arrivals,
+        track: Option<&PhaseTrack>,
+        cache: Option<&EquilibriumCache>,
+        mix: AdversaryMix,
+        guard: &RunGuard,
         jobs: usize,
         telemetry: &mut Telemetry,
-        track: Option<&PhaseTrack>,
-    ) -> crate::Result<SimResult> {
-        let config = SimConfig::new(self.game, self.epochs, seed)?.with_options(self.options);
-        let solve_span = telemetry.enabled().then(|| telemetry.spans.start());
-        let mut policy = self.policy(kind, seed, telemetry)?;
-        if let Some(start) = solve_span {
-            telemetry.spans.end("scenario.solve", start);
+    ) -> crate::Result<(SimResult, Option<SolveSummary>)> {
+        let (mut policy, solve): (Box<dyn SprintPolicy>, _) = match cache {
+            Some(cache) if kind == PolicyKind::EquilibriumThreshold => {
+                let (policy, summary) = self.equilibrium_policy_cached_cold(cache)?;
+                (Box::new(policy), Some(summary))
+            }
+            Some(_) => (self.policy(kind, seed, telemetry)?, None),
+            None => {
+                let solve_span = telemetry.enabled().then(|| telemetry.spans.start());
+                let policy = self.policy(kind, seed, telemetry)?;
+                if let Some(start) = solve_span {
+                    telemetry.spans.end("scenario.solve", start);
+                }
+                (policy, None)
+            }
+        };
+        if mix.fraction > 0.0 {
+            policy = Box::new(AdversarialPopulation::new(
+                policy,
+                mix,
+                self.population.len(),
+            )?);
         }
-        engine::run_replaying(
+        let config = SimConfig::new(self.game, self.epochs, seed)?.with_options(self.options);
+        let (result, _) = engine::run_replaying(
             &config,
             arrivals,
             policy.as_mut(),
-            &engine::RunGuard::default(),
+            guard,
             jobs,
             telemetry,
             track,
-        )
-        .map(|(result, _)| result)
+        )?;
+        Ok((result, solve))
     }
 }
 

@@ -50,10 +50,10 @@ use sprint_telemetry::{Event, EventRing, Recorder, RingConfig, Telemetry, Worker
 use sprint_workloads::generator::Population;
 use sprint_workloads::Benchmark;
 
-use crate::engine::{self, RunOptions, SimConfig};
+use crate::engine::{self, RunOptions};
 use crate::metrics::SimResult;
-use crate::policies::{AdversarialPopulation, AdversaryMix};
-use crate::policy::{PolicyKind, SprintPolicy};
+use crate::policies::AdversaryMix;
+use crate::policy::PolicyKind;
 use crate::pool::{self, BuiltPopulation};
 use crate::runner::NamedPlan;
 use crate::scenario::{Scenario, SolveSummary};
@@ -868,25 +868,6 @@ fn run_trial(
     options.faults = named.plan;
     let scenario =
         Scenario::with_game(pop_spec.resolve()?, game, spec.epochs)?.with_options(options);
-
-    let (mut policy, solve): (Box<dyn SprintPolicy>, Option<SolveSummary>) = match kind {
-        PolicyKind::EquilibriumThreshold => {
-            let (policy, summary) = scenario.equilibrium_policy_cached_cold(cache)?;
-            (Box::new(policy), Some(summary))
-        }
-        other => (
-            scenario.policy(other, trial.seed, &mut Telemetry::noop())?,
-            None,
-        ),
-    };
-    if named_mix.mix.fraction > 0.0 {
-        policy = Box::new(AdversarialPopulation::new(
-            policy,
-            named_mix.mix,
-            pop_spec.agents as usize,
-        )?);
-    }
-    let config = SimConfig::new(game, spec.epochs, trial.seed)?.with_options(*scenario.options());
     let (arrivals, track) = built.arrivals(
         trial.population,
         scenario.population(),
@@ -895,14 +876,16 @@ fn run_trial(
         spec.epochs,
         guard,
     )?;
-    let (result, _) = engine::run_replaying(
-        &config,
+    let (result, solve) = scenario.run_trial(
+        kind,
+        trial.seed,
         arrivals,
-        policy.as_mut(),
+        track,
+        Some(cache),
+        named_mix.mix,
         guard,
         intra_jobs,
         &mut Telemetry::noop(),
-        track,
     )?;
 
     Ok(record_of(
