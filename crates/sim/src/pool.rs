@@ -6,17 +6,26 @@
 //! atomic counter, in the order the caller gives, and each result lands
 //! in its trial's slot, so completion order never reaches a report. A trial that panics yields the suite's typed
 //! [`SimError::WorkerPanicked`] in its own slot while the other trials
-//! complete. Every worker owns one caller-made state (a ring producer,
-//! the population it keeps between trials) and hands it back at the end.
+//! complete. Every worker owns one caller-made state and hands it back
+//! at the end.
+//!
+//! Trials that run on built populations — every sweep trial and every
+//! trial of [`crate::runner::compare`] and [`crate::runner::chaos`] —
+//! go through [`run_supervised`], the one trial driver: it deals the
+//! trials out grouped by their (population, seed) pair, lends each
+//! attempt its pair's arrivals and phase recording, and supervises
+//! every attempt ([`Supervision`]: deadline, cancellation, bounded
+//! retries, panic isolation).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use sprint_telemetry::Registry;
+use sprint_telemetry::{Event, EventRing, Recorder, Registry, RingConfig, WorkerHealth};
 use sprint_workloads::generator::{Arrivals, Population};
 
-use crate::engine::{PhaseTrack, RunGuard};
+use crate::engine::{Deadline, PhaseTrack, RunGuard};
+use crate::sweep::{Sabotage, Supervision};
 use crate::SimError;
 
 /// Resolve a thread budget into `(pool workers, intra-run engine jobs)`.
@@ -113,6 +122,227 @@ where
     }
 }
 
+/// A job's trials, each of which runs on one (population, seed) pair.
+pub(crate) struct Job<'a> {
+    /// Each pair's population and seed.
+    pub(crate) pairs: Vec<(&'a Population, u64)>,
+    /// Each trial's pair, in trial order.
+    pub(crate) trial_pairs: Vec<usize>,
+    /// Epochs per trial: what a pair's recording covers.
+    pub(crate) epochs: usize,
+    /// The job's thread budget ([`thread_budget`]).
+    pub(crate) jobs: usize,
+}
+
+/// What the pool lends one trial attempt: its pair's arrivals, their
+/// phase recording when there is one, and the engine threads it may use.
+pub(crate) struct Lent<'a> {
+    pub(crate) arrivals: &'a Arrivals,
+    pub(crate) track: Option<&'a PhaseTrack>,
+    pub(crate) jobs: usize,
+}
+
+/// A job's trials after [`run_supervised`].
+pub(crate) struct Ran<T> {
+    /// Per trial, in trial order: its outcome, its wall nanos and the
+    /// attempts it took.
+    pub(crate) trials: Vec<(crate::Result<T>, u64, u32)>,
+    /// Per-worker utilization, in worker order.
+    pub(crate) workers: Vec<WorkerHealth>,
+    /// The pool's wall nanos.
+    pub(crate) pool_nanos: u64,
+    /// Pool workers and engine threads per trial.
+    pub(crate) budget: (usize, usize),
+    /// The workers' trial lifecycle events, when they were asked for.
+    pub(crate) ring: Option<EventRing>,
+    /// Population builds, phase recordings and trials handed one.
+    counts: [u64; 3],
+}
+
+impl<T> Ran<T> {
+    /// Add the job's population builds, phase recordings and replays to
+    /// `registry` as `{prefix}.population_builds`, `{prefix}.phase_tracks`
+    /// and `{prefix}.phase_replays`.
+    pub(crate) fn export_builds(&self, prefix: &str, registry: &mut Registry) {
+        for (name, count) in ["population_builds", "phase_tracks", "phase_replays"]
+            .iter()
+            .zip(self.counts)
+        {
+            let c = registry.counter(&format!("{prefix}.{name}"));
+            registry.inc(c, count);
+        }
+    }
+}
+
+/// Run `trial` for every trial of `job` on the pool — the one trial
+/// driver. Workers take the trials grouped by pair, in trial order
+/// within a pair, and every attempt runs under `supervision` on its
+/// pair's arrivals ([`BuiltPopulation`]). With `events`, each worker
+/// records a [`Event::TrialStarted`] and [`Event::TrialFinished`] per
+/// trial into a ring segment of its own.
+///
+/// # Errors
+///
+/// [`SimError::WorkerPanicked`] when a worker dies outside a supervised
+/// attempt; trial failures are the trials' own outcomes.
+pub(crate) fn run_supervised<T, F>(
+    job: &Job<'_>,
+    supervision: &Supervision,
+    what: &'static str,
+    events: bool,
+    trial: F,
+) -> crate::Result<Ran<T>>
+where
+    T: Send,
+    F: Fn(usize, Lent<'_>, &mut RunGuard) -> crate::Result<T> + Sync,
+{
+    let count = job.trial_pairs.len();
+    let (workers, intra_jobs) = thread_budget(job.jobs, count);
+    let mut order: Vec<usize> = (0..count).collect();
+    order.sort_by_key(|&id| job.trial_pairs[id]);
+    // The ring is sized so that a worker that runs every trial still
+    // never drops an event.
+    let (ring, producers) = if events {
+        let config = RingConfig::default().with_capacity(count.saturating_mul(2).max(16));
+        let (ring, producers) = EventRing::with_config(workers, &config);
+        (Some(ring), producers.into_iter().map(Some).collect())
+    } else {
+        (None, (0..workers).map(|_| None).collect::<Vec<_>>())
+    };
+    let states = producers
+        .into_iter()
+        .enumerate()
+        .map(|(worker, producer)| {
+            let built = BuiltPopulation::new(count, job.pairs.len(), workers);
+            (worker, producer, built)
+        })
+        .collect();
+
+    let started = Instant::now();
+    let drained = run(states, &order, what, |(worker, producer, built), id| {
+        if let Some(p) = producer.as_mut() {
+            p.record(&Event::TrialStarted {
+                trial: id,
+                worker: *worker,
+            });
+        }
+        let pair = job.trial_pairs[id];
+        let (population, seed) = job.pairs[pair];
+        let attempt = |guard: &mut RunGuard| {
+            let (arrivals, track) =
+                built.arrivals(pair, population, seed, intra_jobs, job.epochs, guard)?;
+            let lent = Lent {
+                arrivals,
+                track,
+                jobs: intra_jobs,
+            };
+            trial(id, lent, guard)
+        };
+        let (outcome, attempts) = supervise(supervision, what, id, attempt);
+        if let Some(p) = producer.as_mut() {
+            p.record(&Event::TrialFinished {
+                trial: id,
+                worker: *worker,
+                attempts,
+                quarantined: outcome.is_err(),
+            });
+        }
+        Ok((outcome, attempts))
+    });
+    let pool_nanos = started.elapsed().as_nanos() as u64;
+    let trials = drained
+        .results
+        .into_iter()
+        .map(|(ran, nanos)| ran.map(|(outcome, attempts)| (outcome, nanos, attempts)))
+        .collect::<crate::Result<_>>()?;
+    let mut counts = [0u64; 3];
+    for w in &drained.workers {
+        let built = &w.state.2;
+        for (count, add) in counts
+            .iter_mut()
+            .zip([built.builds, built.tracks, built.replays])
+        {
+            *count += add;
+        }
+    }
+    Ok(Ran {
+        trials,
+        workers: drained
+            .workers
+            .iter()
+            .map(|w| WorkerHealth {
+                worker: w.state.0,
+                trials: w.trials,
+                busy_nanos: w.busy_nanos,
+                utilization: w.busy_nanos as f64 / pool_nanos.max(1) as f64,
+            })
+            .collect(),
+        pool_nanos,
+        budget: (workers, intra_jobs),
+        ring,
+        counts,
+    })
+}
+
+/// Run one trial under `supervision`: a deadline per attempt, panic
+/// isolation and bounded retries. Returns the final outcome and the
+/// attempts consumed.
+fn supervise<T>(
+    supervision: &Supervision,
+    what: &'static str,
+    id: usize,
+    mut attempt: impl FnMut(&mut RunGuard) -> crate::Result<T>,
+) -> (crate::Result<T>, u32) {
+    let attempts_allowed = supervision.retries.saturating_add(1);
+    let mut last = SimError::WorkerPanicked { what };
+    for n in 0..attempts_allowed {
+        // A token that fired between attempts (or before the first) makes
+        // further work pointless — and retrying a *cancelled* attempt
+        // would defeat the cancellation, so those errors short-circuit
+        // the retry loop entirely.
+        if let Some(token) = &supervision.cancel {
+            if let Err(e) = token.check(what) {
+                return (Err(e), n.max(1));
+            }
+        }
+        let mut guard = RunGuard {
+            deadline: supervision.trial_deadline_ms.map(Deadline::within_ms),
+            cancel: supervision.cancel.clone(),
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(hook) = supervision.sabotage {
+                match hook(id, n) {
+                    Some(Sabotage::Panic) => panic!("sabotaged {what} {id}"),
+                    Some(Sabotage::Hang) => {
+                        // Overshoot the deadline, then fall through to the
+                        // real trial: the engine's cooperative checkpoint
+                        // abandons it on entry.
+                        let ms = supervision.trial_deadline_ms.unwrap_or(0);
+                        std::thread::sleep(Duration::from_millis(ms + 10));
+                    }
+                    None => {}
+                }
+            }
+            attempt(&mut guard)
+        }));
+        match outcome {
+            Ok(Ok(result)) => return (Ok(result), n + 1),
+            Ok(Err(e)) => {
+                let fired = supervision
+                    .cancel
+                    .as_ref()
+                    .is_some_and(|t| t.fired().is_some());
+                if fired {
+                    return (Err(e), n + 1);
+                }
+                last = e;
+            }
+            Err(_) => last = SimError::WorkerPanicked { what },
+        }
+    }
+    (Err(last), attempts_allowed)
+}
+
 /// A worker's kept population build: the arrivals of one (population,
 /// seed) pair, and their phase trajectory recorded from them. Runs read
 /// arrivals and never write them, so every trial of the pair — and every
@@ -206,29 +436,6 @@ impl BuiltPopulation {
         let track = (self.record && !self.over_cap).then_some(&self.track);
         self.replays += u64::from(track.is_some());
         Ok((arrivals, track))
-    }
-}
-
-/// Add the workers' population builds, phase recordings and replays to
-/// `registry` as `{prefix}.population_builds`, `{prefix}.phase_tracks`
-/// and `{prefix}.phase_replays`.
-pub(crate) fn export_builds<'a>(
-    built: impl Iterator<Item = &'a BuiltPopulation>,
-    prefix: &str,
-    registry: &mut Registry,
-) {
-    let mut counts = [0u64; 3];
-    for b in built {
-        counts[0] += b.builds;
-        counts[1] += b.tracks;
-        counts[2] += b.replays;
-    }
-    for (name, count) in ["population_builds", "phase_tracks", "phase_replays"]
-        .iter()
-        .zip(counts)
-    {
-        let c = registry.counter(&format!("{prefix}.{name}"));
-        registry.inc(c, count);
     }
 }
 

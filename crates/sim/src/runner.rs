@@ -10,16 +10,17 @@
 //! byte-identical at every budget. For full cartesian grids over games,
 //! populations, and options, see [`crate::sweep`].
 
-use sprint_stats::summary::{confidence_interval_95, ConfidenceInterval, OnlineStats};
+use sprint_game::EquilibriumCache;
+use sprint_stats::summary::ConfidenceInterval;
 use sprint_telemetry::Telemetry;
 
 use crate::control::{ControlConfig, ControlReport, ControlSim, DetectorConfig};
-use crate::engine::RunGuard;
 use crate::faults::{FaultMetrics, FaultPlan};
 use crate::policies::AdversaryMix;
 use crate::policy::PolicyKind;
-use crate::pool::{self, BuiltPopulation};
+use crate::pool;
 use crate::scenario::Scenario;
+use crate::sweep::{CellStats, Supervision};
 use crate::SimError;
 
 /// Aggregated outcome of one policy across trials.
@@ -78,59 +79,13 @@ impl Comparison {
     }
 }
 
-/// What [`aggregate`] reads from one trial's
-/// [`SimResult`](crate::metrics::SimResult). Suites keep this instead of
-/// the result, so they hold no per-epoch series.
-struct TrialFacts {
-    tasks: f64,
-    occupancy: [f64; 4],
-    sprinters: f64,
-    trips: u32,
-    faults: FaultMetrics,
-}
-
-fn aggregate(policy: PolicyKind, trials: &[TrialFacts]) -> PolicyOutcome {
-    let per_trial: Vec<f64> = trials.iter().map(|t| t.tasks).collect();
-    let tasks: OnlineStats = per_trial.iter().copied().collect();
-    let tasks_ci = confidence_interval_95(&per_trial).ok();
-    let mut occupancy = [0.0f64; 4];
-    for t in trials {
-        for (acc, x) in occupancy.iter_mut().zip(t.occupancy) {
-            *acc += x;
-        }
-    }
-    for acc in &mut occupancy {
-        *acc /= trials.len() as f64;
-    }
-    let mut faults = FaultMetrics::default();
-    for t in trials {
-        let f = t.faults;
-        faults.crashes += f.crashes;
-        faults.restarts += f.restarts;
-        faults.crashed_agent_epochs += f.crashed_agent_epochs;
-        faults.stuck_epochs += f.stuck_epochs;
-        faults.sensor_dropouts += f.sensor_dropouts;
-        faults.spurious_trips += f.spurious_trips;
-        faults.missed_trips += f.missed_trips;
-    }
-    PolicyOutcome {
-        policy,
-        tasks_per_agent_epoch: tasks.mean(),
-        tasks_std_dev: tasks.std_dev(),
-        tasks_ci,
-        occupancy,
-        mean_sprinters: trials.iter().map(|t| t.sprinters).sum::<f64>() / trials.len() as f64,
-        trips: trials.iter().map(|t| f64::from(t.trips)).sum::<f64>() / trials.len() as f64,
-        faults,
-    }
-}
-
 /// Run `scenario` under each policy for every seed, within a budget of
 /// `jobs` threads (0 means the available cores), and aggregate — the
 /// unified entry point. Pass [`Telemetry::noop()`] for an unprofiled
 /// comparison; with a kit attached, each trial's duration accumulates in
 /// the kit's span profile under `trial.<policy>` (plus `runner.compare`
-/// for the whole comparison), the population builds under the
+/// for the whole comparison), the job's E-T solves in its
+/// `cache.equilibrium.*` counters, the population builds under the
 /// `runner.population_builds` counter, and the phase trajectories
 /// recorded and the trials that replayed one under `runner.phase_tracks`
 /// and `runner.phase_replays`.
@@ -146,7 +101,7 @@ pub fn compare(
     jobs: usize,
     telemetry: &mut Telemetry,
 ) -> crate::Result<Comparison> {
-    let mut legs = compare_legs(
+    let mut legs = run_legs(
         std::slice::from_ref(scenario),
         policies,
         seeds,
@@ -156,14 +111,14 @@ pub fn compare(
     Ok(legs.remove(0))
 }
 
-/// Compare every leg (one scenario each) in one pass on the trial pool.
-/// Trial `(leg × policies + policy) × seeds + seed` runs `policy` on the
-/// leg for `seed`. Workers take the trials grouped by seed, so each
-/// builds a seed's population once and runs the seed's other trials on
-/// clones, which replay the seed's phase trajectory when each worker
-/// runs enough of them to record it; every leg shares the population,
-/// since legs differ only in their run options.
-fn compare_legs(
+/// Compare every leg (one scenario each, all on one population) in one
+/// pass on the trial driver, with no retries. Trial
+/// `(leg × policies + policy) × seeds + seed` runs `policy` on the leg
+/// for `seed`; the legs differ only in their run options, so each
+/// seed's one build of the population serves every trial of the seed.
+/// E-T solves through a cache of the job's own, bit-identical to a
+/// fresh solve.
+fn run_legs(
     legs: &[Scenario],
     policies: &[PolicyKind],
     seeds: &[u64],
@@ -186,69 +141,88 @@ fn compare_legs(
     }
 
     let per_leg = policies.len() * seeds.len();
-    let mut order: Vec<usize> = (0..legs.len() * per_leg).collect();
-    order.sort_by_key(|&id| id % seeds.len());
-    let (workers, intra_jobs) = pool::thread_budget(jobs, order.len());
-    let started = std::time::Instant::now();
-    let drained = pool::run(
-        (0..workers)
-            .map(|_| BuiltPopulation::new(order.len(), seeds.len(), workers))
+    let job = pool::Job {
+        pairs: seeds
+            .iter()
+            .map(|&seed| (legs[0].population(), seed))
             .collect(),
-        &order,
+        trial_pairs: (0..legs.len() * per_leg)
+            .map(|id| id % seeds.len())
+            .collect(),
+        epochs: legs[0].epochs(),
+        jobs,
+    };
+    let cache = EquilibriumCache::default();
+    let once = Supervision {
+        retries: 0,
+        ..Supervision::default()
+    };
+    let ran = pool::run_supervised(
+        &job,
+        &once,
         "policy comparison trial",
-        |built, id| {
-            let leg = &legs[id / per_leg];
-            let policy = policies[id / seeds.len() % policies.len()];
-            let seed = seeds[id % seeds.len()];
-            let (arrivals, track) = built.arrivals(
-                0,
-                leg.population(),
-                seed,
-                intra_jobs,
-                leg.epochs(),
-                &mut RunGuard::default(),
-            )?;
-            leg.run_trial(
-                policy,
-                seed,
-                arrivals,
-                track,
-                None,
+        false,
+        |id, lent, guard| {
+            let (r, _) = legs[id / per_leg].run_trial(
+                policies[id / seeds.len() % policies.len()],
+                seeds[id % seeds.len()],
+                lent.arrivals,
+                lent.track,
+                Some(&cache),
                 AdversaryMix::honest(),
-                &RunGuard::default(),
-                intra_jobs,
+                guard,
+                lent.jobs,
                 &mut Telemetry::noop(),
-            )
-            .map(|(r, _)| TrialFacts {
-                tasks: r.tasks_per_agent_epoch(),
-                occupancy: r.occupancy().fractions(),
-                sprinters: r.mean_sprinters(),
-                trips: r.trips(),
-                faults: r.faults(),
-            })
+            )?;
+            let facts = (
+                r.tasks_per_agent_epoch(),
+                r.trips(),
+                r.mean_sprinters(),
+                r.occupancy().fractions(),
+            );
+            Ok((facts, r.faults()))
         },
-    );
+    )?;
     telemetry
         .spans
-        .record_nanos("runner.compare", started.elapsed().as_nanos() as u64);
+        .record_nanos("runner.compare", ran.pool_nanos);
     if telemetry.enabled() {
-        let built = drained.workers.iter().map(|w| &w.state);
-        pool::export_builds(built, "runner", &mut telemetry.registry);
+        ran.export_builds("runner", &mut telemetry.registry);
     }
+    cache.export_metrics(&mut telemetry.registry);
 
-    let mut results = drained.results.into_iter();
+    let mut results = ran.trials.into_iter();
     let mut comparisons = Vec::with_capacity(legs.len());
     for _ in legs {
         let mut outcomes = Vec::with_capacity(policies.len());
         for &policy in policies {
-            let mut runs = Vec::with_capacity(seeds.len());
-            for (result, nanos) in results.by_ref().take(seeds.len()) {
-                runs.push(result?);
+            let mut trials = Vec::with_capacity(seeds.len());
+            let mut faults = FaultMetrics::default();
+            for (result, nanos, _) in results.by_ref().take(seeds.len()) {
+                let (facts, f) = result?;
                 telemetry
                     .spans
                     .record_nanos(&format!("trial.{policy}"), nanos);
+                trials.push(facts);
+                faults.crashes += f.crashes;
+                faults.restarts += f.restarts;
+                faults.crashed_agent_epochs += f.crashed_agent_epochs;
+                faults.stuck_epochs += f.stuck_epochs;
+                faults.sensor_dropouts += f.sensor_dropouts;
+                faults.spurious_trips += f.spurious_trips;
+                faults.missed_trips += f.missed_trips;
             }
-            outcomes.push(aggregate(policy, &runs));
+            let stats = CellStats::of(&trials);
+            outcomes.push(PolicyOutcome {
+                policy,
+                tasks_per_agent_epoch: stats.tasks_per_agent_epoch,
+                tasks_std_dev: stats.tasks_std_dev,
+                tasks_ci: stats.tasks_ci,
+                occupancy: stats.occupancy,
+                mean_sprinters: stats.mean_sprinters,
+                trips: stats.trips,
+                faults,
+            });
         }
         comparisons.push(Comparison { outcomes });
     }
@@ -355,11 +329,12 @@ impl ChaosReport {
 /// Run the policy × fault-plan chaos matrix: every policy under every
 /// plan across every seed, compared against the same policies' fault-free
 /// baseline — the unified entry point. The baseline and every plan run
-/// as one pass on the trial pool within a budget of `jobs` threads (0
-/// means the available cores), building each seed's population once per
-/// worker. Pass [`Telemetry::noop()`] for an unprofiled matrix; with a
-/// kit attached, trial durations accumulate in its span profile under
-/// `trial.<policy>` across the baseline and every fault plan.
+/// as one pass on the trial driver within a budget of `jobs` threads (0
+/// means the available cores), building and recording each seed's
+/// population once. Pass [`Telemetry::noop()`] for an unprofiled matrix;
+/// with a kit attached, trial durations accumulate in its span profile
+/// under `trial.<policy>` across the baseline and every fault plan, and
+/// the rest lands as for [`compare`].
 ///
 /// # Errors
 ///
@@ -387,7 +362,7 @@ pub fn chaos(
         .chain(plans.iter().map(|p| p.plan))
         .map(|plan| scenario.clone().with_faults(plan))
         .collect();
-    let mut legs = compare_legs(&legs, policies, seeds, jobs, telemetry)?.into_iter();
+    let mut legs = run_legs(&legs, policies, seeds, jobs, telemetry)?.into_iter();
     let baseline = legs.next().expect("the fault-free leg comes first");
     let mut cells = Vec::with_capacity(plans.len() * policies.len());
     for (named, cmp) in plans.iter().zip(legs) {
@@ -865,6 +840,28 @@ mod tests {
         // One recording per seed, replayed by every trial.
         assert_eq!(kit.registry.counter_value("runner.phase_tracks"), Some(2));
         assert_eq!(kit.registry.counter_value("runner.phase_replays"), Some(56));
+    }
+
+    #[test]
+    fn chaos_solves_each_distinct_game_once() {
+        let s = Scenario::homogeneous(Benchmark::Svm, 30, 40).unwrap();
+        let plans = standard_fault_suite(5);
+        let mut kit = Telemetry::in_memory();
+        chaos(&s, &PolicyKind::ALL, &plans, &[1, 2], 1, &mut kit).unwrap();
+        // Only a stale coordinator moves the game E-T solves: the
+        // fault-free leg and the plans without one share a game.
+        let mut games = Vec::new();
+        for staleness in std::iter::once(None).chain(plans.iter().map(|p| p.plan.staleness)) {
+            if !games.contains(&staleness) {
+                games.push(staleness);
+            }
+        }
+        assert_eq!(games.len(), 2);
+        let misses = kit.registry.counter_value("cache.equilibrium.misses");
+        assert_eq!(misses, Some(games.len() as u64));
+        // 7 legs × 2 seeds of E-T trials ask; all but the misses hit.
+        let hits = kit.registry.counter_value("cache.equilibrium.hits");
+        assert_eq!(hits, Some(14 - games.len() as u64));
     }
 
     #[test]

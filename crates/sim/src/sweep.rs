@@ -22,15 +22,14 @@
 //!   once per distinct game, and cached results are bit-identical to
 //!   fresh solves. Every solve runs cold, so no report depends on what
 //!   the cache held before.
-//! - **Population reuse.** A trial's utility streams depend only on its
-//!   population and seed. Workers take trials grouped by that pair, and
-//!   each keeps the streams of its last pair as built, so every trial
-//!   and retry runs on a clone instead of a fresh build: a pair is built
-//!   at most once per worker.
+//! - **Population reuse.** A trial's arrivals depend only on its
+//!   population and seed. The crate's one trial driver deals the
+//!   trials out grouped by that pair; each worker runs the trials and
+//!   retries of a pair it takes on one read-only build, and replays the
+//!   pair's recorded phase trajectory when it runs enough of them.
 //!
-//! Trials use only the unified telemetry-carrying API
-//! ([`engine::run_guarded`], [`Scenario::policy`],
-//! [`Scenario::equilibrium_policy_cached_cold`]).
+//! Every trial runs through [`Scenario::run_trial`], the one code that
+//! turns a policy, a seed and a build into a run.
 //!
 //! Trials run **supervised** ([`Supervision`]): each gets an optional
 //! wall-clock deadline (enforced cooperatively at the engine's epoch
@@ -41,12 +40,9 @@
 //! order, aggregation groups cells by label rather than position, and
 //! the quarantine list is ordered by trial id for every `--jobs`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
-
 use sprint_game::{EquilibriumCache, GameConfig};
 use sprint_stats::summary::{confidence_interval_95, ConfidenceInterval, OnlineStats};
-use sprint_telemetry::{Event, EventRing, Recorder, RingConfig, Telemetry, WorkerHealth};
+use sprint_telemetry::{Event, Telemetry, WorkerHealth};
 use sprint_workloads::generator::Population;
 use sprint_workloads::Benchmark;
 
@@ -54,7 +50,7 @@ use crate::engine::{self, RunOptions};
 use crate::metrics::SimResult;
 use crate::policies::AdversaryMix;
 use crate::policy::PolicyKind;
-use crate::pool::{self, BuiltPopulation};
+use crate::pool;
 use crate::runner::NamedPlan;
 use crate::scenario::{Scenario, SolveSummary};
 use crate::SimError;
@@ -259,7 +255,8 @@ impl SweepSpec {
             * self.seeds.len()
     }
 
-    fn validate(&self) -> crate::Result<()> {
+    /// Check the spec and resolve its populations.
+    fn validate(&self) -> crate::Result<Vec<Population>> {
         let axes: [(&str, usize); 4] = [
             ("games", self.games.len()),
             ("populations", self.populations.len()),
@@ -288,13 +285,13 @@ impl SweepSpec {
         for named in &self.adversaries {
             named.mix.validate()?;
         }
+        self.options.faults.validate()?;
         // Resolve populations eagerly so configuration mistakes fail the
         // sweep up front; quarantine is reserved for runtime failures.
-        for population in &self.populations {
-            population.resolve()?;
-        }
-        self.options.faults.validate()?;
-        Ok(())
+        self.populations
+            .iter()
+            .map(PopulationSpec::resolve)
+            .collect()
     }
 
     /// The plan axis with the empty-list default applied.
@@ -325,7 +322,7 @@ impl SweepSpec {
                 for plan in 0..plans.len() {
                     for adversary in 0..adversaries.len() {
                         for policy in 0..self.policies.len() {
-                            for &seed in &self.seeds {
+                            for (s, &seed) in self.seeds.iter().enumerate() {
                                 trials.push(Trial {
                                     id: trials.len(),
                                     game,
@@ -334,6 +331,7 @@ impl SweepSpec {
                                     adversary,
                                     policy,
                                     seed,
+                                    pair: population * self.seeds.len() + s,
                                 });
                             }
                         }
@@ -355,6 +353,8 @@ struct Trial {
     adversary: usize,
     policy: usize,
     seed: u64,
+    /// The (population, seed) pair: population-major, seeds in spec order.
+    pair: usize,
 }
 
 /// The outcome of one trial.
@@ -592,82 +592,50 @@ pub fn run_sweep_shared(
     cache: &EquilibriumCache,
     telemetry: &mut Telemetry,
 ) -> crate::Result<SweepReport> {
-    spec.validate()?;
+    let populations = spec.validate()?;
     let plans = spec.effective_plans();
     let adversaries = spec.effective_adversaries();
     let trials = spec.expand(&plans, &adversaries);
-    let (jobs, intra_jobs) = pool::thread_budget(jobs, trials.len());
-
-    // Workers take trials grouped by (population, seed), in trial order
-    // within a group (the sort is stable), so a worker builds each
-    // group's population once and runs the rest of the group on clones.
-    let mut order: Vec<usize> = (0..trials.len()).collect();
-    order.sort_by_key(|&id| (trials[id].population, trials[id].seed));
-    let profile = telemetry.enabled();
-
-    // Each worker emits trial lifecycle events into its own lock-free
-    // ring segment — no shared sink, no contention on the hot path. The
-    // ring is sized so a worker that somehow runs every trial still
-    // never drops (and drops, were they to happen, are counted).
-    let (ring, producers) = if profile {
-        let capacity = trials.len().saturating_mul(2).max(16);
-        let (r, p) = EventRing::with_config(jobs, &RingConfig::default().with_capacity(capacity));
-        (Some(r), p.into_iter().map(Some).collect())
-    } else {
-        (None, (0..jobs).map(|_| None).collect::<Vec<_>>())
+    let job = pool::Job {
+        pairs: populations
+            .iter()
+            .flat_map(|p| spec.seeds.iter().map(move |&seed| (p, seed)))
+            .collect(),
+        trial_pairs: trials.iter().map(|t| t.pair).collect(),
+        epochs: spec.epochs,
+        jobs,
     };
-    let pairs = spec.populations.len() * spec.seeds.len();
-    let states: Vec<_> = producers
-        .into_iter()
-        .enumerate()
-        .map(|(worker, producer)| {
-            let built = BuiltPopulation::new(trials.len(), pairs, jobs);
-            (worker, producer, built)
-        })
-        .collect();
-
-    let pool_started = std::time::Instant::now();
-    let drained = pool::run(
-        states,
-        &order,
+    let profile = telemetry.enabled();
+    let mut ran = pool::run_supervised(
+        &job,
+        &supervision,
         "sweep trial",
-        |(worker, producer, built), id| {
+        profile,
+        |id, lent, guard| {
             let trial = &trials[id];
-            if let Some(p) = producer.as_mut() {
-                p.record(&Event::TrialStarted {
-                    trial: id,
-                    worker: *worker,
-                });
-            }
-            let (record, attempts) = run_trial_supervised(
-                spec,
-                &plans,
-                &adversaries,
-                trial,
-                cache,
-                &supervision,
-                intra_jobs,
-                built,
-            );
-            if let Some(p) = producer.as_mut() {
-                p.record(&Event::TrialFinished {
-                    trial: id,
-                    worker: *worker,
-                    attempts,
-                    quarantined: record.is_err(),
-                });
-            }
-            Ok((record, attempts))
+            let scenario = Scenario::with_game(
+                populations[trial.population].clone(),
+                spec.games[trial.game].build(spec.populations[trial.population].agents)?,
+                spec.epochs,
+            )?
+            .with_options(RunOptions {
+                faults: plans[trial.plan].plan,
+                ..spec.options
+            });
+            let (result, solve) = scenario.run_trial(
+                spec.policies[trial.policy],
+                trial.seed,
+                lent.arrivals,
+                lent.track,
+                Some(cache),
+                adversaries[trial.adversary].mix,
+                guard,
+                lent.jobs,
+                &mut Telemetry::noop(),
+            )?;
+            Ok(record_of(spec, &plans, &adversaries, trial, &result, solve))
         },
-    );
-    let pool_nanos = pool_started.elapsed().as_nanos() as u64;
-    // Trials catch their own panics; a pool-level failure means a worker
-    // died outside a supervised trial.
-    let outcomes = drained
-        .results
-        .into_iter()
-        .map(|(outcome, nanos)| outcome.map(|(record, attempts)| (record, nanos, attempts)))
-        .collect::<crate::Result<Vec<_>>>()?;
+    )?;
     // A fired cancel/deadline token fails the sweep outright: partial
     // results from an abandoned sweep must not masquerade as a report
     // whose trials all happened to quarantine.
@@ -678,19 +646,9 @@ pub fn run_sweep_shared(
     // Per-worker utilization/timing ride on the report as diagnostics
     // (excluded from canonical serialization and equality), and feed the
     // span path table so flamegraphs show the pool split.
-    let workers: Vec<WorkerHealth> = drained
-        .workers
-        .iter()
-        .map(|w| WorkerHealth {
-            worker: w.state.0,
-            trials: w.trials,
-            busy_nanos: w.busy_nanos,
-            utilization: w.busy_nanos as f64 / pool_nanos.max(1) as f64,
-        })
-        .collect();
     if profile {
-        telemetry.spans.record_path_nanos("sweep", pool_nanos);
-        for w in &workers {
+        telemetry.spans.record_path_nanos("sweep", ran.pool_nanos);
+        for w in &ran.workers {
             telemetry
                 .spans
                 .record_path_nanos(&format!("sweep;worker-{}", w.worker), w.busy_nanos);
@@ -701,7 +659,7 @@ pub fn run_sweep_shared(
     // started-before-finished) order, and mirror its publish/drop
     // accounting into the registry. Worker assignment inside each event
     // is inherently scheduling-dependent; everything else is invariant.
-    if let Some(mut ring) = ring {
+    if let Some(mut ring) = ran.ring.take() {
         ring.export_metrics(&mut telemetry.registry);
         let mut events = ring.drain();
         events.sort_by_key(|e| match e {
@@ -717,7 +675,7 @@ pub fn run_sweep_shared(
     let mut records = Vec::with_capacity(trials.len());
     let mut quarantined = Vec::new();
     let mut retried = 0u64;
-    for (trial, (record, nanos, attempts)) in trials.iter().zip(outcomes) {
+    for (trial, (record, nanos, attempts)) in trials.iter().zip(ran.trials.drain(..)) {
         if profile {
             telemetry.spans.record_nanos("sweep.trial", nanos);
         }
@@ -746,13 +704,13 @@ pub fn run_sweep_shared(
     telemetry.registry.inc(c, quarantined.len() as u64);
     let c = telemetry.registry.counter("sweep.retries");
     telemetry.registry.inc(c, retried);
+    let (jobs, intra_jobs) = ran.budget;
     let g = telemetry.registry.gauge("sweep.jobs");
     telemetry.registry.set(g, jobs as f64);
     let g = telemetry.registry.gauge("sweep.intra_jobs");
     telemetry.registry.set(g, intra_jobs as f64);
     if profile {
-        let built = drained.workers.iter().map(|w| &w.state.2);
-        pool::export_builds(built, "sweep", &mut telemetry.registry);
+        ran.export_builds("sweep", &mut telemetry.registry);
     }
 
     Ok(SweepReport {
@@ -760,157 +718,26 @@ pub fn run_sweep_shared(
         records,
         cells,
         quarantined,
-        workers,
+        workers: ran.workers,
     })
 }
 
-/// Run one trial under supervision: per-attempt deadline, panic
-/// isolation, bounded retry. Returns the final outcome and the attempts
-/// consumed.
-#[allow(clippy::too_many_arguments)]
-fn run_trial_supervised(
-    spec: &SweepSpec,
-    plans: &[NamedPlan],
-    adversaries: &[NamedAdversaries],
-    trial: &Trial,
-    cache: &EquilibriumCache,
-    supervision: &Supervision,
-    intra_jobs: usize,
-    built: &mut BuiltPopulation,
-) -> (crate::Result<SweepRecord>, u32) {
-    let attempts_allowed = supervision.retries.saturating_add(1);
-    let mut last = SimError::WorkerPanicked {
-        what: "sweep trial",
-    };
-    for attempt in 0..attempts_allowed {
-        // A token that fired between attempts (or before the first) makes
-        // further work pointless — and retrying a *cancelled* attempt
-        // would defeat the cancellation, so those errors short-circuit
-        // the retry loop entirely.
-        if let Some(token) = &supervision.cancel {
-            if let Err(e) = token.check("sweep trial") {
-                return (Err(e), attempt.max(1));
-            }
-        }
-        let mut guard = engine::RunGuard {
-            deadline: supervision
-                .trial_deadline_ms
-                .map(engine::Deadline::within_ms),
-            cancel: supervision.cancel.clone(),
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = supervision.sabotage {
-                match hook(trial.id, attempt) {
-                    Some(Sabotage::Panic) => panic!("sabotaged sweep trial {}", trial.id),
-                    Some(Sabotage::Hang) => {
-                        // Overshoot the deadline, then fall through to the
-                        // real trial: the engine's cooperative checkpoint
-                        // abandons it on entry.
-                        let ms = supervision.trial_deadline_ms.unwrap_or(0);
-                        std::thread::sleep(Duration::from_millis(ms + 10));
-                    }
-                    None => {}
-                }
-            }
-            run_trial(
-                spec,
-                plans,
-                adversaries,
-                trial,
-                cache,
-                &mut guard,
-                intra_jobs,
-                built,
-            )
-        }));
-        match outcome {
-            Ok(Ok(record)) => return (Ok(record), attempt + 1),
-            Ok(Err(e)) => {
-                let fired = supervision
-                    .cancel
-                    .as_ref()
-                    .is_some_and(|t| t.fired().is_some());
-                if fired {
-                    return (Err(e), attempt + 1);
-                }
-                last = e;
-            }
-            Err(_) => {
-                last = SimError::WorkerPanicked {
-                    what: "sweep trial",
-                }
-            }
-        }
-    }
-    (Err(last), attempts_allowed)
-}
-
-/// Run one grid point through the unified API only.
-#[allow(clippy::too_many_arguments)]
-fn run_trial(
-    spec: &SweepSpec,
-    plans: &[NamedPlan],
-    adversaries: &[NamedAdversaries],
-    trial: &Trial,
-    cache: &EquilibriumCache,
-    guard: &mut engine::RunGuard,
-    intra_jobs: usize,
-    built: &mut BuiltPopulation,
-) -> crate::Result<SweepRecord> {
-    let variant = &spec.games[trial.game];
-    let pop_spec = &spec.populations[trial.population];
-    let named = &plans[trial.plan];
-    let named_mix = &adversaries[trial.adversary];
-    let kind = spec.policies[trial.policy];
-
-    let game = variant.build(pop_spec.agents)?;
-    let mut options = spec.options;
-    options.faults = named.plan;
-    let scenario =
-        Scenario::with_game(pop_spec.resolve()?, game, spec.epochs)?.with_options(options);
-    let (arrivals, track) = built.arrivals(
-        trial.population,
-        scenario.population(),
-        trial.seed,
-        intra_jobs,
-        spec.epochs,
-        guard,
-    )?;
-    let (result, solve) = scenario.run_trial(
-        kind,
-        trial.seed,
-        arrivals,
-        track,
-        Some(cache),
-        named_mix.mix,
-        guard,
-        intra_jobs,
-        &mut Telemetry::noop(),
-    )?;
-
-    Ok(record_of(
-        trial, variant, pop_spec, named, named_mix, kind, &result, solve,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The record of `trial`'s run.
 fn record_of(
+    spec: &SweepSpec,
+    plans: &[NamedPlan],
+    adversaries: &[NamedAdversaries],
     trial: &Trial,
-    variant: &GameVariant,
-    pop_spec: &PopulationSpec,
-    named: &NamedPlan,
-    named_mix: &NamedAdversaries,
-    kind: PolicyKind,
     result: &SimResult,
     solve: Option<SolveSummary>,
 ) -> SweepRecord {
     SweepRecord {
         trial: trial.id,
-        game: variant.name.clone(),
-        population: pop_spec.name.clone(),
-        plan: named.name.clone(),
-        adversaries: named_mix.name.clone(),
-        policy: kind,
+        game: spec.games[trial.game].name.clone(),
+        population: spec.populations[trial.population].name.clone(),
+        plan: plans[trial.plan].name.clone(),
+        adversaries: adversaries[trial.adversary].name.clone(),
+        policy: spec.policies[trial.policy],
         seed: trial.seed,
         tasks_per_agent_epoch: result.tasks_per_agent_epoch(),
         total_tasks: result.total_tasks(),
@@ -949,17 +776,19 @@ fn aggregate_cells(records: &[SweepRecord]) -> Vec<SweepCell> {
         .iter()
         .map(|chunk| {
             let first = chunk[0];
-            let per_trial: Vec<f64> = chunk.iter().map(|r| r.tasks_per_agent_epoch).collect();
-            let tasks: OnlineStats = per_trial.iter().copied().collect();
-            let mut occupancy = [0.0f64; 4];
-            for r in chunk {
-                for (acc, x) in occupancy.iter_mut().zip(r.occupancy) {
-                    *acc += x;
-                }
-            }
-            for acc in &mut occupancy {
-                *acc /= chunk.len() as f64;
-            }
+            let stats = CellStats::of(
+                &chunk
+                    .iter()
+                    .map(|r| {
+                        (
+                            r.tasks_per_agent_epoch,
+                            r.trips,
+                            r.mean_sprinters,
+                            r.occupancy,
+                        )
+                    })
+                    .collect::<Vec<_>>(),
+            );
             SweepCell {
                 game: first.game.clone(),
                 population: first.population.clone(),
@@ -967,13 +796,12 @@ fn aggregate_cells(records: &[SweepRecord]) -> Vec<SweepCell> {
                 adversaries: first.adversaries.clone(),
                 policy: first.policy,
                 trials: chunk.len(),
-                tasks_per_agent_epoch: tasks.mean(),
-                tasks_std_dev: tasks.std_dev(),
-                tasks_ci: confidence_interval_95(&per_trial).ok(),
-                trips: chunk.iter().map(|r| f64::from(r.trips)).sum::<f64>() / chunk.len() as f64,
-                mean_sprinters: chunk.iter().map(|r| r.mean_sprinters).sum::<f64>()
-                    / chunk.len() as f64,
-                occupancy,
+                tasks_per_agent_epoch: stats.tasks_per_agent_epoch,
+                tasks_std_dev: stats.tasks_std_dev,
+                tasks_ci: stats.tasks_ci,
+                trips: stats.trips,
+                mean_sprinters: stats.mean_sprinters,
+                occupancy: stats.occupancy,
                 normalized_to_greedy: None,
                 solve: chunk.iter().find_map(|r| r.solve),
             }
@@ -999,8 +827,51 @@ fn aggregate_cells(records: &[SweepRecord]) -> Vec<SweepCell> {
     cells
 }
 
+/// The statistics a [`SweepCell`] and a runner
+/// [`PolicyOutcome`](crate::runner::PolicyOutcome) both report over a
+/// cell's trials.
+pub(crate) struct CellStats {
+    pub(crate) tasks_per_agent_epoch: f64,
+    pub(crate) tasks_std_dev: f64,
+    pub(crate) tasks_ci: Option<ConfidenceInterval>,
+    pub(crate) trips: f64,
+    pub(crate) mean_sprinters: f64,
+    pub(crate) occupancy: [f64; 4],
+}
+
+impl CellStats {
+    /// Summarize a cell from each trial's throughput per agent-epoch,
+    /// breaker trips, mean sprinters and occupancy fractions, in trial
+    /// order: the mean, spread and 95 % interval of the throughput, and
+    /// the means of the rest.
+    pub(crate) fn of(trials: &[(f64, u32, f64, [f64; 4])]) -> Self {
+        let count = trials.len() as f64;
+        let per_trial: Vec<f64> = trials.iter().map(|t| t.0).collect();
+        let tasks: OnlineStats = per_trial.iter().copied().collect();
+        let mut occupancy = [0.0f64; 4];
+        for t in trials {
+            for (acc, x) in occupancy.iter_mut().zip(t.3) {
+                *acc += x;
+            }
+        }
+        for acc in &mut occupancy {
+            *acc /= count;
+        }
+        CellStats {
+            tasks_per_agent_epoch: tasks.mean(),
+            tasks_std_dev: tasks.std_dev(),
+            tasks_ci: confidence_interval_95(&per_trial).ok(),
+            trips: trials.iter().map(|t| f64::from(t.1)).sum::<f64>() / count,
+            mean_sprinters: trials.iter().map(|t| t.2).sum::<f64>() / count,
+            occupancy,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::faults::FaultPlan;
 
