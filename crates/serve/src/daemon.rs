@@ -553,9 +553,7 @@ fn complete(
 ) -> Completion {
     match (shared.execute)(spec, &shared.cache, opts, telemetry) {
         Ok(report) => match jobs::report_json(&report) {
-            Err(e) => Completion::Failed {
-                error: e.to_string(),
-            },
+            Err(e) => Completion::Failed { error: failure(e) },
             Ok(bytes) => match report.outcome {
                 JobOutcome::Cancelled => Completion::Cancelled { report: bytes },
                 JobOutcome::DeadlineExceeded { limit_ms } => Completion::DeadlineExceeded {
@@ -565,9 +563,17 @@ fn complete(
                 _ => Completion::Done { report: bytes },
             },
         },
-        Err(e) => Completion::Failed {
-            error: e.to_string(),
-        },
+        Err(e) => Completion::Failed { error: failure(e) },
+    }
+}
+
+/// What a failed job keeps as its error: a job error's own message, since
+/// the wait and status paths answer with it wrapped in [`ServeError::Job`]
+/// again, whose `Display` adds the "job failed: " prefix once.
+fn failure(e: ServeError) -> String {
+    match e {
+        ServeError::Job(message) => message,
+        other => other.to_string(),
     }
 }
 
@@ -1283,6 +1289,31 @@ mod tests {
             panic!("injected fault in seed 13");
         }
         jobs::execute(spec, cache, opts, telemetry)
+    }
+
+    /// An executor whose every job fails with a job error.
+    fn fails_with_boom(
+        _: &JobSpec,
+        _: &EquilibriumCache,
+        _: &ExecOptions,
+        _: &mut Telemetry,
+    ) -> crate::Result<JobReport> {
+        Err(ServeError::Job("boom".to_string()))
+    }
+
+    #[test]
+    fn a_failed_job_says_job_failed_once() {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let handle = Daemon::start_with(&config, fails_with_boom).unwrap();
+        let id = handle.shared.submit(run_spec(1), "test").unwrap();
+        let error = handle.shared.wait_done(id).unwrap_err();
+        assert_eq!(error.to_string(), "job failed: boom");
+        handle.drain().unwrap();
+        handle.join().unwrap();
     }
 
     #[test]
