@@ -526,6 +526,10 @@ fn worker_loop(shared: &Arc<Shared>, producer: RingProducer) {
     // runs publishes into its own lock-free ring segment.
     let mut telemetry = Telemetry::new(Box::new(producer), SpanProfile::monotonic());
     while let Some((id, spec, token)) = claim(shared) {
+        // A fresh registry per job: the engine appends per-epoch series
+        // to an enabled kit, and nothing reads a finished job's. Spans
+        // aggregate per name and stay bounded; events go to the ring.
+        telemetry.registry = Registry::new();
         let opts = ExecOptions {
             jobs: shared.opts.jobs,
             jobs_cap: shared.opts.jobs_cap,
@@ -1312,6 +1316,44 @@ mod tests {
         let id = handle.shared.submit(run_spec(1), "test").unwrap();
         let error = handle.shared.wait_done(id).unwrap_err();
         assert_eq!(error.to_string(), "job failed: boom");
+        handle.drain().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// [`jobs::execute`] on a kit that must hold no series from an
+    /// earlier job, and must hold this job's once it has run.
+    fn needs_a_fresh_registry(
+        spec: &JobSpec,
+        cache: &EquilibriumCache,
+        opts: &ExecOptions,
+        telemetry: &mut Telemetry,
+    ) -> crate::Result<JobReport> {
+        if !telemetry.registry.snapshot().series.is_empty() {
+            return Err(ServeError::Job("series left from an earlier job".into()));
+        }
+        let report = jobs::execute(spec, cache, opts, telemetry)?;
+        if telemetry
+            .registry
+            .series_values("engine.sprinters")
+            .is_none()
+        {
+            return Err(ServeError::Job("the run recorded no series".into()));
+        }
+        Ok(report)
+    }
+
+    #[test]
+    fn each_job_gets_a_worker_kit_without_earlier_series() {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let handle = Daemon::start_with(&config, needs_a_fresh_registry).unwrap();
+        for seed in [1, 2, 3] {
+            let id = handle.shared.submit(run_spec(seed), "test").unwrap();
+            handle.shared.wait_done(id).unwrap();
+        }
         handle.drain().unwrap();
         handle.join().unwrap();
     }
