@@ -637,6 +637,12 @@ fn aggregator_loop(
     }
 }
 
+/// How long a connection may stall while sending its request before it
+/// is answered with a 400 and closed. Responses are written after the
+/// request is read, so a `?wait=true` submission or an event stream is
+/// not bound by it.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
 fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for conn in listener.incoming() {
         if shared.stop.load(Ordering::Acquire) {
@@ -644,7 +650,7 @@ fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         }
         let Ok(stream) = conn else { continue };
         let shared = Arc::clone(shared);
-        std::thread::spawn(move || handle_connection(&shared, stream));
+        std::thread::spawn(move || handle_connection(&shared, stream, READ_TIMEOUT));
     }
 }
 
@@ -678,7 +684,10 @@ fn respond_error(stream: &mut TcpStream, error: &ServeError) {
     );
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, read_timeout: Duration) {
+    if stream.set_read_timeout(Some(read_timeout)).is_err() {
+        return;
+    }
     let mut reader = BufReader::new(stream);
     let request = http::read_request(&mut reader);
     let mut stream = reader.into_inner();
@@ -1354,6 +1363,40 @@ mod tests {
             let id = handle.shared.submit(run_spec(seed), "test").unwrap();
             handle.shared.wait_done(id).unwrap();
         }
+        handle.drain().unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_stalled_request_is_answered_with_a_400_and_closed() {
+        use std::io::{Read, Write};
+
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let handle = Daemon::start(&config).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let shared = Arc::clone(&handle.shared);
+        let served = std::thread::spawn(move || {
+            handle_connection(&shared, server, Duration::from_millis(100));
+        });
+        client
+            .write_all(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"job")
+            .unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // The answer comes, then the end of the stream: the daemon closed
+        // the connection instead of holding its thread.
+        let mut answer = String::new();
+        client.read_to_string(&mut answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 400"), "{answer}");
+        assert!(answer.contains("timed out"), "{answer}");
+        served.join().unwrap();
         handle.drain().unwrap();
         handle.join().unwrap();
     }

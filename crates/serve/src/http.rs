@@ -62,6 +62,17 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// A failed read while `what`: a read that timed out is the client's
+/// stall, a typed 400; anything else is the transport's.
+fn read_error(what: &'static str) -> impl FnOnce(std::io::Error) -> ServeError {
+    move |e| match e.kind() {
+        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
+            ServeError::BadRequest(format!("{what}: timed out"))
+        }
+        _ => ServeError::io(what)(e),
+    }
+}
+
 /// Read one `\n`-terminated line without trusting the peer: bytes are
 /// consumed through the `BufRead` buffer and the line is abandoned with
 /// a typed 400 the moment it exceeds `limit`, so a client streaming an
@@ -75,7 +86,7 @@ fn read_line_bounded(
     let mut line = Vec::new();
     loop {
         let (consumed, done) = {
-            let buf = reader.fill_buf().map_err(ServeError::io(what))?;
+            let buf = reader.fill_buf().map_err(read_error(what))?;
             if buf.is_empty() {
                 (0, true)
             } else if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
@@ -160,7 +171,7 @@ pub fn read_request(reader: &mut impl BufRead) -> crate::Result<Request> {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             ServeError::BadRequest("truncated request body".into())
         } else {
-            ServeError::io("reading body")(e)
+            read_error("reading body")(e)
         }
     })?;
     Ok(Request {
@@ -449,6 +460,33 @@ mod tests {
             }
             let verdict = parses_or_is_a_4xx(&bytes);
             prop_assert!(verdict.is_ok(), "{verdict:?} on {:?}", String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
+    fn a_timed_out_read_is_a_typed_400() {
+        /// A peer that sends the head and part of the body, then stalls
+        /// past the socket's read timeout.
+        struct Stalls(Vec<u8>);
+        impl Read for Stalls {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::ErrorKind::TimedOut.into());
+                }
+                let n = buf.len().min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0.drain(..n);
+                Ok(n)
+            }
+        }
+        for sent in [
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"job\"",
+            "GET /v1",
+        ] {
+            let mut reader = BufReader::new(Stalls(sent.as_bytes().to_vec()));
+            let err = read_request(&mut reader).unwrap_err();
+            assert_eq!(err.status(), 400, "{err}");
+            assert!(err.to_string().contains("timed out"), "{err}");
         }
     }
 
