@@ -31,7 +31,7 @@
 //! - the same allocator tracks live heap bytes: the peak of one
 //!   arrivals build plus one engine run, per agent, at N ∈ {10⁵, 10⁶},
 //!   must stay at or below `MAX_PRODUCT_BYTES_PER_AGENT`; the stream
-//!   path (`spawn_streams_jobs` plus `run_guarded`) is recorded beside
+//!   path (`spawn_streams` plus `run_guarded`) is recorded beside
 //!   it for reference;
 //! - `gap_draw` rows time one geometric draw through a `GapTable` and
 //!   through the logarithm it replaces, at the svm phase scale and the
@@ -519,7 +519,7 @@ fn bytes_per_agent(n: usize, streams: bool) -> f64 {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let result = if streams {
-        let mut streams = population.spawn_streams_jobs(SEED, MEMORY_JOBS).unwrap();
+        let mut streams = population.spawn_streams(SEED).unwrap();
         run_guarded(
             &cfg,
             &mut streams,

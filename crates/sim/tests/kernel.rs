@@ -51,10 +51,7 @@ fn digest_observed(
     jobs: usize,
     telemetry: &mut Telemetry,
 ) -> u64 {
-    let streams = scenario
-        .population()
-        .spawn_streams_jobs(SEED, jobs)
-        .unwrap();
+    let streams = scenario.population().spawn_streams(SEED).unwrap();
     let mut policy = scenario.policy(kind, SEED, &mut Telemetry::noop()).unwrap();
     digest_streams(scenario, streams, policy.as_mut(), jobs, telemetry)
 }
@@ -309,12 +306,12 @@ fn shared_threshold_over_two_cohorts_matches_recorded_digest() {
     for jobs in JOBS {
         let mut streams = Population::homogeneous(Benchmark::Svm, half)
             .unwrap()
-            .spawn_streams_jobs(SEED, jobs)
+            .spawn_streams(SEED)
             .unwrap();
         streams.extend(
             Population::homogeneous(Benchmark::Kmeans, AGENTS as usize - half)
                 .unwrap()
-                .spawn_streams_jobs(SEED + 1, jobs)
+                .spawn_streams(SEED + 1)
                 .unwrap(),
         );
         let mut policy = s

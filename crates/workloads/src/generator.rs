@@ -164,7 +164,7 @@ impl Population {
     /// The population's agents arrived, as flat lanes: agent `i` is
     /// seeded with the `(i+1)`-th seed of `master_seed`'s
     /// [`SeedSequence`] and walks the same arrival as in
-    /// [`Population::spawn_streams_jobs`], split over up to `jobs` scoped
+    /// [`Population::spawn_streams`], split over up to `jobs` scoped
     /// threads, so the lanes are bit-identical at every job count and
     /// hold exactly the streams' phase keys and phases.
     ///
@@ -208,21 +208,9 @@ impl Population {
 
     /// Instantiate per-agent utility streams with independent seeds and
     /// randomized arrival offsets derived from `master_seed`, on the
-    /// caller's thread. Same as [`Population::spawn_streams_jobs`] with
-    /// one job.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the built-in benchmarks; the `Result` propagates
-    /// stream-construction errors for API uniformity.
-    pub fn spawn_streams(&self, master_seed: u64) -> crate::Result<Vec<PhasedUtility>> {
-        self.spawn_streams_jobs(master_seed, 1)
-    }
-
-    /// [`Population::spawn_streams`] with the arrival walks split over up
-    /// to `jobs` scoped threads. Agent `i` is seeded with the `(i+1)`-th
-    /// seed of `master_seed`'s [`SeedSequence`] wherever it is walked, so
-    /// the streams are bit-identical at every job count.
+    /// caller's thread. Agent `i` is seeded with the `(i+1)`-th seed of
+    /// `master_seed`'s [`SeedSequence`] and walks the same arrival as in
+    /// [`Population::arrivals`].
     ///
     /// Every agent of one benchmark shares one cohort (distribution,
     /// sample table, persistence), so a stream holds no heap memory of
@@ -230,28 +218,23 @@ impl Population {
     ///
     /// # Errors
     ///
-    /// As [`Population::spawn_streams`].
-    pub fn spawn_streams_jobs(
-        &self,
-        master_seed: u64,
-        jobs: usize,
-    ) -> crate::Result<Vec<PhasedUtility>> {
+    /// Never fails for the built-in benchmarks; the `Result` propagates
+    /// stream-construction errors for API uniformity.
+    pub fn spawn_streams(&self, master_seed: u64) -> crate::Result<Vec<PhasedUtility>> {
         let (cohorts, index) = self.cohorts()?;
-        let mut streams: Vec<PhasedUtility> = self
+        let seeds = SeedSequence::new(master_seed);
+        Ok(self
             .assignments
             .iter()
-            .map(|&b| PhasedUtility::shell(Arc::clone(&cohorts[index[b as usize] as usize])))
-            .collect();
-
-        let seeds = SeedSequence::new(master_seed);
-        let span = span_len(streams.len(), jobs);
-        walk_spans(span, streams.chunks_mut(span), |start, chunk| {
-            for (i, stream) in (start..).zip(chunk) {
+            .enumerate()
+            .map(|(i, &b)| {
+                let mut stream =
+                    PhasedUtility::shell(Arc::clone(&cohorts[index[b as usize] as usize]));
                 let (seed, offset) = arrival(seeds, i);
                 stream.arrive(seed, offset);
-            }
-        });
-        Ok(streams)
+                stream
+            })
+            .collect())
     }
 }
 

@@ -1,49 +1,12 @@
 //! Population builds are a function of the population and the master
-//! seed alone: the thread budget of `spawn_streams_jobs` never changes a
-//! stream, and flat arrivals hold exactly the streams' keys and phases.
+//! seed alone: flat arrivals hold exactly the streams' keys and phases
+//! at every thread budget.
 
 use std::sync::Arc;
 
-use sprint_stats::rng::SeedSequence;
 use sprint_workloads::generator::{Arrivals, Population};
 use sprint_workloads::phases::{phase_key, PhasedUtility};
 use sprint_workloads::Benchmark;
-
-/// Everything observable about a stream: its seed, the phase it will
-/// emit next, and its next 64 draws (which exercise the generator state
-/// the arrival walk left behind).
-fn observe(streams: &mut [PhasedUtility]) -> Vec<(u64, u64, Vec<u64>)> {
-    streams
-        .iter_mut()
-        .map(|s| {
-            let seed = s.stream_seed();
-            let phase = s.phase_value().to_bits();
-            let draws = (0..64).map(|_| s.next_utility().to_bits()).collect();
-            (seed, phase, draws)
-        })
-        .collect()
-}
-
-#[test]
-fn streams_are_identical_at_every_job_count() {
-    // Five 2^14-agent spans plus three: no job count divides it evenly.
-    let n = 5 * (1 << 14) + 3;
-    let homogeneous = Population::homogeneous(Benchmark::Svm, n).unwrap();
-    let mixed =
-        Population::heterogeneous(&[Benchmark::Svm, Benchmark::PageRank, Benchmark::Kmeans], n)
-            .unwrap();
-    for (population, master) in [(&homogeneous, 11u64), (&mixed, u64::MAX - 2)] {
-        let reference = observe(&mut population.spawn_streams(master).unwrap());
-        let seeds = SeedSequence::new(master);
-        for (i, (seed, _, _)) in reference.iter().enumerate() {
-            assert_eq!(*seed, seeds.seed_at(i as u64), "agent {i}");
-        }
-        for jobs in [1, 2, 3, 8] {
-            let spawned = observe(&mut population.spawn_streams_jobs(master, jobs).unwrap());
-            assert!(spawned == reference, "jobs = {jobs} changed a stream");
-        }
-    }
-}
 
 #[test]
 fn arrivals_hold_the_streams_keys_and_phases_at_every_job_count() {
@@ -117,16 +80,10 @@ fn streams_match_recorded_values() {
         (&homogeneous, 1, &HOMOGENEOUS),
         (&mixed, 0xDEAD_BEEF, &MIXED),
     ] {
-        for jobs in [1, 2] {
-            let streams = population.spawn_streams_jobs(master, jobs).unwrap();
-            for &(i, seed, phase) in recorded {
-                assert_eq!(streams[i].stream_seed(), seed, "agent {i}, jobs {jobs}");
-                assert_eq!(
-                    streams[i].phase_value().to_bits(),
-                    phase,
-                    "agent {i}, jobs {jobs}"
-                );
-            }
+        let streams = population.spawn_streams(master).unwrap();
+        for &(i, seed, phase) in recorded {
+            assert_eq!(streams[i].stream_seed(), seed, "agent {i}");
+            assert_eq!(streams[i].phase_value().to_bits(), phase, "agent {i}");
         }
     }
 }
@@ -191,9 +148,7 @@ fn arrival_walk_consumes_recorded_draws() {
         (&homogeneous, 7, 0x3678_DA64_D6CC_83C7u64),
         (&mixed, 0x5EED_F00D, 0xAFFD_EE3F_3957_E411),
     ] {
-        for jobs in [1, 2] {
-            let streams = &mut population.spawn_streams_jobs(master, jobs).unwrap();
-            assert_eq!(digest(streams), recorded, "jobs {jobs}");
-        }
+        let streams = &mut population.spawn_streams(master).unwrap();
+        assert_eq!(digest(streams), recorded);
     }
 }
