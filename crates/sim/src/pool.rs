@@ -18,7 +18,8 @@
 //! retries, panic isolation).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sprint_telemetry::{Event, EventRing, Recorder, Registry, RingConfig, WorkerHealth};
@@ -177,7 +178,8 @@ impl<T> Ran<T> {
 /// Run `trial` for every trial of `job` on the pool — the one trial
 /// driver. Workers take the trials grouped by pair, in trial order
 /// within a pair, and every attempt runs under `supervision` on its
-/// pair's arrivals ([`BuiltPopulation`]). With `events`, each worker
+/// pair's one build, which the first trial to need it builds, and
+/// records when the pair has two or more trials ([`Pairs::lend`]). With `events`, each worker
 /// records a [`Event::TrialStarted`] and [`Event::TrialFinished`] per
 /// trial into a ring segment of its own.
 ///
@@ -209,17 +211,11 @@ where
     } else {
         (None, (0..workers).map(|_| None).collect::<Vec<_>>())
     };
-    let states = producers
-        .into_iter()
-        .enumerate()
-        .map(|(worker, producer)| {
-            let built = BuiltPopulation::new(count, job.pairs.len(), workers);
-            (worker, producer, built)
-        })
-        .collect();
+    let states = producers.into_iter().enumerate().collect();
+    let pairs = Pairs::new(job);
 
     let started = Instant::now();
-    let drained = run(states, &order, what, |(worker, producer, built), id| {
+    let drained = run(states, &order, what, |(worker, producer), id| {
         if let Some(p) = producer.as_mut() {
             p.record(&Event::TrialStarted {
                 trial: id,
@@ -227,18 +223,17 @@ where
             });
         }
         let pair = job.trial_pairs[id];
-        let (population, seed) = job.pairs[pair];
         let attempt = |guard: &mut RunGuard| {
-            let (arrivals, track) =
-                built.arrivals(pair, population, seed, intra_jobs, job.epochs, guard)?;
+            let built = pairs.lend(pair, intra_jobs, guard)?;
             let lent = Lent {
-                arrivals,
-                track,
+                arrivals: &built.arrivals,
+                track: built.track.as_ref(),
                 jobs: intra_jobs,
             };
             trial(id, lent, guard)
         };
         let (outcome, attempts) = supervise(supervision, what, id, attempt);
+        pairs.finish(pair);
         if let Some(p) = producer.as_mut() {
             p.record(&Event::TrialFinished {
                 trial: id,
@@ -255,16 +250,7 @@ where
         .into_iter()
         .map(|(ran, nanos)| ran.map(|(outcome, attempts)| (outcome, nanos, attempts)))
         .collect::<crate::Result<_>>()?;
-    let mut counts = [0u64; 3];
-    for w in &drained.workers {
-        let built = &w.state.2;
-        for (count, add) in counts
-            .iter_mut()
-            .zip([built.builds, built.tracks, built.replays])
-        {
-            *count += add;
-        }
-    }
+    let counts = pairs.counts.map(AtomicU64::into_inner);
     Ok(Ran {
         trials,
         workers: drained
@@ -343,99 +329,103 @@ fn supervise<T>(
     (Err(last), attempts_allowed)
 }
 
-/// A worker's kept population build: the arrivals of one (population,
-/// seed) pair, and their phase trajectory recorded from them. Runs read
-/// arrivals and never write them, so every trial of the pair — and every
-/// retry — runs on the same arrivals and replays the recording, and sees
+/// A job's (population, seed) pairs, each built and recorded at most
+/// once per job and lent to every worker that runs one of its trials.
+/// Runs read arrivals and never write them, so every trial and retry of
+/// a pair runs on its one build, replays its one recording, and sees
 /// what a fresh build would give it.
-#[derive(Default)]
-pub(crate) struct BuiltPopulation {
-    /// `(population index, seed)` and the pair's arrivals; `None` before
-    /// the first build or after a build that failed.
-    pair: Option<((usize, u64), Arrivals)>,
-    /// Record: the worker expects to run at least two trials of each
-    /// pair, so a recording pays for itself. A worker that runs one
-    /// trial of a pair would record it and replay it once, which costs
-    /// more than sampling live once.
-    record: bool,
-    /// The phase trajectory of the pair's arrivals. Its buffers outlive
-    /// the pair, so the next pair records into them.
-    track: PhaseTrack,
-    /// The pair's recording passed the cap: its trials sample live.
-    over_cap: bool,
-    /// Populations this worker has built.
-    builds: u64,
-    /// Phase trajectories this worker has recorded.
-    tracks: u64,
-    /// Trials this worker handed a recording.
-    replays: u64,
+struct Pairs<'a> {
+    job: &'a Job<'a>,
+    /// Per pair, its build once made, until its last trial ends. The
+    /// slot's lock is held while the pair builds and records, so a
+    /// second trial of the pair waits for the first's build.
+    slots: Vec<Mutex<Option<Arc<Built>>>>,
+    /// Per pair, its trials not yet finished.
+    left: Vec<AtomicUsize>,
+    /// Population builds, phase recordings and trials handed one.
+    counts: [AtomicU64; 3],
 }
 
-impl BuiltPopulation {
-    /// A worker's state in a job of `trials` trials over `pairs`
-    /// (population, seed) pairs on `workers` workers. The pool deals the
-    /// trials out in pair order from one counter, so each worker runs
-    /// about `trials / (pairs × workers)` trials of every pair; the
-    /// worker records a pair's trajectory only when that is at least two.
-    pub(crate) fn new(trials: usize, pairs: usize, workers: usize) -> Self {
-        BuiltPopulation {
-            record: trials >= pairs.saturating_mul(workers).saturating_mul(2),
-            ..BuiltPopulation::default()
+/// One pair's build: its arrivals and their phase trajectory, recorded
+/// when the pair has two or more trials and the recording fits its cap.
+struct Built {
+    arrivals: Arrivals,
+    track: Option<PhaseTrack>,
+}
+
+impl<'a> Pairs<'a> {
+    fn new(job: &'a Job<'a>) -> Self {
+        let mut trials = vec![0usize; job.pairs.len()];
+        for &pair in &job.trial_pairs {
+            trials[pair] += 1;
+        }
+        Pairs {
+            job,
+            slots: trials.iter().map(|_| Mutex::new(None)).collect(),
+            left: trials.into_iter().map(AtomicUsize::new).collect(),
+            counts: Default::default(),
         }
     }
 
-    /// The arrivals of `population` (the caller's `index`) for `seed`,
-    /// built only when the pair differs from the last one, and the pair's
-    /// phase trajectory over `epochs` epochs for the trial to replay. The
-    /// trajectory is recorded at the pair's first trial, and re-recorded
-    /// for a longer horizon; it is `None` when its recording would pass
-    /// the cap, and in a job whose workers each run fewer than two
-    /// trials of a pair.
+    /// Lend `pair`'s build to one trial attempt, building it on `jobs`
+    /// threads, and recording it when the pair has two or more trials,
+    /// if no trial has yet.
     ///
-    /// The recording serves every later trial of the pair, so it is not
-    /// charged to the trial that makes it: only `guard`'s cancel token
-    /// can stop it, and `guard`'s deadline moves back by the time it
-    /// took.
+    /// A recording serves every trial of the pair, so it is not charged
+    /// to the attempt that makes it, nor is the wait for another
+    /// attempt's build: only `guard`'s cancel token can stop a
+    /// recording, and `guard`'s deadline moves back by the time both
+    /// took. The build itself is the attempt's own.
     ///
     /// # Errors
     ///
-    /// A failed build, or the cancel token stopping the recording.
-    pub(crate) fn arrivals(
-        &mut self,
-        index: usize,
-        population: &Population,
-        seed: u64,
-        jobs: usize,
-        epochs: usize,
-        guard: &mut RunGuard,
-    ) -> crate::Result<(&Arrivals, Option<&PhaseTrack>)> {
-        let arrivals = match self.pair.take() {
-            Some(pair) if pair.0 == (index, seed) => &self.pair.insert(pair).1,
-            stale => {
-                // Release the previous pair's arrivals before building,
-                // and its recording, so that no trial replays it on this
-                // pair.
-                drop(stale);
-                self.track.clear();
-                self.over_cap = false;
+    /// A failed build, or the cancel token stopping the recording; the
+    /// pair stays unbuilt, and its next attempt builds it again.
+    fn lend(&self, pair: usize, jobs: usize, guard: &mut RunGuard) -> crate::Result<Arc<Built>> {
+        let asked = Instant::now();
+        let mut slot = self.slots[pair]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut uncharged = asked.elapsed();
+        let built = match slot.as_ref() {
+            Some(built) => Arc::clone(built),
+            None => {
+                let (population, seed) = self.job.pairs[pair];
                 let arrivals = population.arrivals(seed, jobs)?;
-                self.builds += 1;
-                &self.pair.insert(((index, seed), arrivals)).1
+                self.counts[0].fetch_add(1, Ordering::Relaxed);
+                let mut track = None;
+                if self.left[pair].load(Ordering::Relaxed) >= 2 {
+                    let recording = Instant::now();
+                    let cancel_only = RunGuard {
+                        deadline: None,
+                        cancel: guard.cancel.clone(),
+                    };
+                    let mut recorded = PhaseTrack::default();
+                    if recorded.record(&arrivals, self.job.epochs, &cancel_only)? {
+                        self.counts[1].fetch_add(1, Ordering::Relaxed);
+                        track = Some(recorded);
+                    }
+                    uncharged += recording.elapsed();
+                }
+                Arc::clone(slot.insert(Arc::new(Built { arrivals, track })))
             }
         };
-        if self.record && !self.over_cap && !self.track.covers(arrivals.len(), epochs) {
-            let started = Instant::now();
-            let cancel_only = RunGuard {
-                deadline: None,
-                cancel: guard.cancel.clone(),
-            };
-            self.over_cap = !self.track.record(arrivals, epochs, &cancel_only)?;
-            self.tracks += u64::from(!self.over_cap);
-            guard.deadline = guard.deadline.map(|d| d.postponed(started.elapsed()));
+        drop(slot);
+        guard.deadline = guard.deadline.map(|d| d.postponed(uncharged));
+        let replays = u64::from(built.track.is_some());
+        self.counts[2].fetch_add(replays, Ordering::Relaxed);
+        Ok(built)
+    }
+
+    /// One trial of `pair` has ended: after its last, drop the pair's
+    /// build (workers still running its trials keep theirs).
+    fn finish(&self, pair: usize) {
+        if self.left[pair].fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut slot = self.slots[pair]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            *slot = None;
         }
-        let track = (self.record && !self.over_cap).then_some(&self.track);
-        self.replays += u64::from(track.is_some());
-        Ok((arrivals, track))
     }
 }
 
@@ -497,41 +487,50 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_records_a_pair_only_when_it_expects_two_of_its_trials() {
+    fn a_pair_is_built_once_and_recorded_when_it_has_two_trials() {
         use crate::engine::{CancelToken, Deadline};
         use sprint_workloads::Benchmark;
 
         let population = Population::homogeneous(Benchmark::Svm, 200).unwrap();
-        // 8 trials over 2 pairs on 2 workers: two each. On 3 workers, fewer.
-        for (workers, recorded) in [(2, true), (3, false)] {
-            let mut built = BuiltPopulation::new(8, 2, workers);
-            let (_, track) = built
-                .arrivals(0, &population, 3, 1, 50, &mut RunGuard::default())
-                .unwrap();
-            assert_eq!(track.is_some(), recorded, "workers={workers}");
-        }
+        // Pair 0 has two trials, pair 1 one, pair 2 two.
+        let job = Job {
+            pairs: vec![(&population, 3), (&population, 4), (&population, 5)],
+            trial_pairs: vec![0, 0, 1, 2, 2],
+            epochs: 50,
+            jobs: 1,
+        };
+        let pairs = Pairs::new(&job);
         // The recording is not charged to the trial's deadline: one that
         // has already passed does not stop it.
-        let mut built = BuiltPopulation::new(8, 2, 1);
         let mut guard = RunGuard {
             deadline: Some(Deadline::within_ms(0)),
             cancel: None,
         };
-        let (_, track) = built
-            .arrivals(0, &population, 3, 1, 50, &mut guard)
-            .unwrap();
-        assert!(track.is_some_and(|t| t.covers(200, 50)));
-        // The cancel token still stops it, and nothing is kept.
+        let first = pairs.lend(0, 1, &mut guard).unwrap();
+        assert!(first.track.as_ref().is_some_and(|t| t.covers(200, 50)));
+        // The pair's second trial borrows the same build.
+        let second = pairs.lend(0, 1, &mut RunGuard::default()).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        // A pair with one trial is not recorded.
+        let single = pairs.lend(1, 1, &mut RunGuard::default()).unwrap();
+        assert!(single.track.is_none());
+        // After a pair's last trial its slot lets the build go.
+        pairs.finish(0);
+        assert!(pairs.slots[0].lock().unwrap().is_some());
+        pairs.finish(0);
+        assert!(pairs.slots[0].lock().unwrap().is_none());
+        // The cancel token still stops a recording, and nothing is kept.
         let token = CancelToken::new();
         token.cancel();
         let mut guard = RunGuard {
             deadline: None,
             cancel: Some(token),
         };
-        let stopped = built.arrivals(1, &population, 4, 1, 50, &mut guard);
+        let stopped = pairs.lend(2, 1, &mut guard);
         assert!(matches!(stopped, Err(SimError::Cancelled { .. })));
-        assert_eq!((built.builds, built.tracks), (2, 1));
-        assert!(!built.track.covers(200, 1));
+        assert!(pairs.slots[2].lock().unwrap().is_none());
+        let counts = pairs.counts.map(AtomicU64::into_inner);
+        assert_eq!(counts, [3, 1, 2]);
     }
 
     #[test]

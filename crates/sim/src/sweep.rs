@@ -1010,6 +1010,40 @@ mod tests {
     }
 
     #[test]
+    fn each_pair_is_built_and_recorded_once_at_every_job_count() {
+        // sweep-grid's axes: 4 games × 2 populations × 6 plans × 4
+        // policies × 2 seeds, at a reduced rack and horizon.
+        let mut games = vec![GameVariant::paper("paper")];
+        for (name, p_cooling) in [("a", 0.6), ("b", 0.7), ("c", 0.8)] {
+            let mut game = GameVariant::paper(name);
+            game.p_cooling = p_cooling;
+            games.push(game);
+        }
+        let spec = SweepSpec {
+            games,
+            populations: vec![
+                PopulationSpec::homogeneous(Benchmark::Svm, 40),
+                PopulationSpec::homogeneous(Benchmark::Kmeans, 40),
+            ],
+            plans: crate::runner::standard_fault_suite(1),
+            adversaries: Vec::new(),
+            policies: PolicyKind::ALL.to_vec(),
+            seeds: vec![1, 2],
+            epochs: 20,
+            options: RunOptions::default(),
+        };
+        for jobs in [1, 2, 4] {
+            let mut kit = Telemetry::in_memory();
+            let report = sweep(&spec, jobs, Supervision::default(), &mut kit).unwrap();
+            assert_eq!(report.trials, 384);
+            let count = |name| kit.registry.counter_value(name);
+            assert_eq!(count("sweep.population_builds"), Some(4), "jobs {jobs}");
+            assert_eq!(count("sweep.phase_tracks"), Some(4), "jobs {jobs}");
+            assert_eq!(count("sweep.phase_replays"), Some(384), "jobs {jobs}");
+        }
+    }
+
+    #[test]
     fn validates_axes() {
         let mut spec = small_spec();
         spec.seeds.clear();
