@@ -7,10 +7,13 @@
 //!
 //! - the two reports serialize to byte-identical JSON;
 //! - repeated game configs hit the equilibrium cache (≥ 90 % hit rate);
-//! - the serial sweep builds each (population, seed) population once,
-//!   records its phase trajectory once, and every trial replays it;
+//! - the serial and the parallel sweep each build each (population,
+//!   seed) population once, record its phase trajectory once, and
+//!   replay it in every trial;
 //! - parallel execution is ≥ 2× faster than serial, enforced only when
-//!   the host actually has ≥ 4 cores (CI containers may not).
+//!   the host actually has ≥ 4 cores (CI containers may not). With fewer
+//!   cores the speedup is not measured: `BENCH_sweep.json` records it as
+//!   `null` and the row says it did not run.
 //!
 //! It also times a sweep whose 24 trials share one (population, seed)
 //! pair (every policy under the standard fault suite, 2000 agents × 200
@@ -114,6 +117,12 @@ fn main() {
     let started = Instant::now();
     let parallel = sweep(&spec, PARALLEL_JOBS, &mut kit);
     let parallel_nanos = started.elapsed().as_nanos() as u64;
+    let parallel_counts = [
+        "sweep.population_builds",
+        "sweep.phase_tracks",
+        "sweep.phase_replays",
+    ]
+    .map(|name| kit.registry.counter_value(name).unwrap_or(0));
 
     let serial_json = serde_json::to_string(&serial).expect("report serializes");
     let parallel_json = serde_json::to_string(&parallel).expect("report serializes");
@@ -137,8 +146,10 @@ fn main() {
     let shared_ns = ns_per_agent_epoch(&shared, shared_reps);
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let speedup = serial_nanos as f64 / parallel_nanos as f64;
+    // With fewer cores than workers the parallel leg measures
+    // oversubscription, not speedup: the row does not run.
     let enforce_speedup = cores >= PARALLEL_JOBS;
+    let speedup = enforce_speedup.then(|| serial_nanos as f64 / parallel_nanos as f64);
 
     println!(
         "sweep smoke ({} trials: {agents} agents x {epochs} epochs, 2 policies x 16 seeds)",
@@ -146,7 +157,13 @@ fn main() {
     );
     println!("  serial    {serial_nanos:>12} ns (jobs=1)");
     println!("  parallel  {parallel_nanos:>12} ns (jobs={PARALLEL_JOBS}, {cores} cores)");
-    println!("  speedup   {speedup:>12.2}x");
+    match speedup {
+        Some(speedup) => println!("  speedup   {speedup:>12.2}x"),
+        None => println!(
+            "  speedup   not measured: jobs={PARALLEL_JOBS} on {cores} core(s) oversubscribes, \
+             so the row did not run"
+        ),
+    }
     println!(
         "  cache     {hits} hits / {misses} misses ({:.1}%)",
         hit_rate * 100.0
@@ -159,6 +176,10 @@ fn main() {
         serial.trials
     );
     println!(
+        "  parallel  {} populations, {} phase recordings, {} replays (jobs={PARALLEL_JOBS})",
+        parallel_counts[0], parallel_counts[1], parallel_counts[2]
+    );
+    println!(
         "  shared    {shared_ns:>12.3} ns/agent-epoch ({} trials on one pair, 2000 agents x 200 \
          epochs, jobs=1, median of {shared_reps})",
         shared.trial_count()
@@ -167,7 +188,7 @@ fn main() {
     let json = format!(
         "{{\n  \"agents\": {agents},\n  \"epochs\": {epochs},\n  \"trials\": {},\n  \
          \"serial_nanos\": {serial_nanos},\n  \"parallel_nanos\": {parallel_nanos},\n  \
-         \"jobs\": {PARALLEL_JOBS},\n  \"cores\": {cores},\n  \"speedup\": {speedup:.4},\n  \
+         \"jobs\": {PARALLEL_JOBS},\n  \"cores\": {cores},\n  \"speedup\": {},\n  \
          \"speedup_enforced\": {enforce_speedup},\n  \"min_speedup\": {MIN_SPEEDUP},\n  \
          \"cache_hits\": {hits},\n  \"cache_misses\": {misses},\n  \
          \"cache_hit_rate\": {hit_rate:.4},\n  \"min_hit_rate\": {MIN_HIT_RATE},\n  \
@@ -176,6 +197,7 @@ fn main() {
          \"shared_pair_trials\": {},\n  \"shared_pair_reps\": {shared_reps},\n  \
          \"shared_pair_ns_per_agent_epoch\": {shared_ns:.4}\n}}\n",
         serial.trials,
+        speedup.map_or("null".to_string(), |s| format!("{s:.4}")),
         shared.trial_count()
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -213,7 +235,16 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if enforce_speedup && speedup < MIN_SPEEDUP {
+    if parallel_counts != [pairs, pairs, parallel.trials as u64] {
+        eprintln!(
+            "FAIL: the jobs={PARALLEL_JOBS} sweep built {} populations, recorded {} phase \
+             trajectories and replayed {} trials for {pairs} (population, seed) pairs and {} \
+             trials",
+            parallel_counts[0], parallel_counts[1], parallel_counts[2], parallel.trials
+        );
+        std::process::exit(1);
+    }
+    if let Some(speedup) = speedup.filter(|&s| s < MIN_SPEEDUP) {
         eprintln!("FAIL: parallel speedup {speedup:.2}x below the {MIN_SPEEDUP:.1}x floor");
         std::process::exit(1);
     }
