@@ -7,7 +7,10 @@
 //! [`adversary_defense`] repeat control-plane trials per seed. Every
 //! suite runs its trials on the bounded trial pool within the caller's
 //! thread budget and aggregates them in trial order, so a report is
-//! byte-identical at every budget. For full cartesian grids over games,
+//! byte-identical at every budget. [`compare`] and [`chaos`] run on the
+//! sweep's trial driver, with no retries: each seed's population is
+//! built and recorded once for every policy and fault leg, and E-T
+//! solves once per distinct game through a cache of the job's own. For full cartesian grids over games,
 //! populations, and options, see [`crate::sweep`].
 
 use sprint_game::EquilibriumCache;

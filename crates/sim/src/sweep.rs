@@ -451,7 +451,9 @@ pub struct Supervision {
     /// is abandoned at the next checkpoint, never preempted). It covers
     /// the attempt's solve, population build and run, but not the
     /// recording of a pair's phase trajectory, which serves the pair's
-    /// later trials too (DESIGN §12.7). `None` disables the deadline.
+    /// other trials too, nor the wait for another trial's build or
+    /// recording of the pair (DESIGN §12.7). `None` disables the
+    /// deadline.
     pub trial_deadline_ms: Option<u64>,
     /// Re-runs granted to a failing trial before quarantine.
     pub retries: u32,
