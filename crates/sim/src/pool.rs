@@ -178,10 +178,10 @@ impl<T> Ran<T> {
 /// Run `trial` for every trial of `job` on the pool — the one trial
 /// driver. Workers take the trials grouped by pair, in trial order
 /// within a pair, and every attempt runs under `supervision` on its
-/// pair's one build, which the first trial to need it builds, and
-/// records when the pair has two or more trials ([`Pairs::lend`]). With `events`, each worker
-/// records a [`Event::TrialStarted`] and [`Event::TrialFinished`] per
-/// trial into a ring segment of its own.
+/// pair's one build, which the first trial to need it builds and, when
+/// the pair has two or more trials, records ([`Pairs::lend`]). With
+/// `events`, each worker records a [`Event::TrialStarted`] and
+/// [`Event::TrialFinished`] per trial into a ring segment of its own.
 ///
 /// # Errors
 ///
