@@ -637,10 +637,10 @@ fn aggregator_loop(
     }
 }
 
-/// How long a connection may stall while sending its request before it
-/// is answered with a 400 and closed. Responses are written after the
-/// request is read, so a `?wait=true` submission or an event stream is
-/// not bound by it.
+/// How long a connection may take to send its whole request before it
+/// is answered with a 400 and closed, however it spreads its bytes.
+/// Responses are written after the request is read, so a `?wait=true`
+/// submission or an event stream is not bound by it.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
@@ -684,13 +684,13 @@ fn respond_error(stream: &mut TcpStream, error: &ServeError) {
     );
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, read_timeout: Duration) {
-    if stream.set_read_timeout(Some(read_timeout)).is_err() {
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    let request = http::read_request(&mut reader);
-    let mut stream = reader.into_inner();
+fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, read_timeout: Duration) {
+    let timed = http::ByDeadline {
+        inner: &stream,
+        deadline: Instant::now() + read_timeout,
+        limit: |s, left| s.set_read_timeout(Some(left)),
+    };
+    let request = http::read_request(&mut BufReader::new(timed));
     match request {
         Err(e) => respond_error(&mut stream, &e),
         Ok(request) => {

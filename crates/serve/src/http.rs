@@ -6,6 +6,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
 
@@ -70,6 +71,28 @@ fn read_error(what: &'static str) -> impl FnOnce(std::io::Error) -> ServeError {
             ServeError::BadRequest(format!("{what}: timed out"))
         }
         _ => ServeError::io(what)(e),
+    }
+}
+
+/// A request stream that must deliver the whole request by `deadline`:
+/// before each read, `limit` bounds how long the read may block to the
+/// time left, and a read once it has passed fails with `TimedOut`. So a
+/// client that trickles its request byte by byte is cut off as surely as
+/// one that stalls.
+pub(crate) struct ByDeadline<R> {
+    pub(crate) inner: R,
+    pub(crate) deadline: Instant,
+    pub(crate) limit: fn(&R, Duration) -> std::io::Result<()>,
+}
+
+impl<R: Read> Read for ByDeadline<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        (self.limit)(&self.inner, left)?;
+        self.inner.read(buf)
     }
 }
 
@@ -488,6 +511,48 @@ mod tests {
             assert_eq!(err.status(), 400, "{err}");
             assert!(err.to_string().contains("timed out"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_request_trickled_past_its_deadline_is_a_typed_400() {
+        /// A peer that sends one byte of a long body per read, a
+        /// millisecond apart, and notes the longest block it was allowed.
+        struct Trickles {
+            sent: Vec<u8>,
+            longest: std::cell::Cell<Duration>,
+        }
+        impl Read for Trickles {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                std::thread::sleep(Duration::from_millis(1));
+                buf[0] = self.sent.remove(0);
+                Ok(1)
+            }
+        }
+        let head = "POST /v1/jobs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n";
+        let mut sent = head.as_bytes().to_vec();
+        sent.resize(head.len() + 100_000, b'a');
+        let timed = ByDeadline {
+            inner: Trickles {
+                sent,
+                longest: std::cell::Cell::new(Duration::ZERO),
+            },
+            deadline: Instant::now() + Duration::from_millis(50),
+            limit: |peer, left| {
+                peer.longest.set(peer.longest.get().max(left));
+                Ok(())
+            },
+        };
+        let mut reader = BufReader::new(timed);
+        let started = Instant::now();
+        let err = read_request(&mut reader).unwrap_err();
+        assert_eq!(err.status(), 400, "{err}");
+        assert!(err.to_string().contains("timed out"), "{err}");
+        // Every read was bounded by the time left, and the request ended
+        // at its deadline, long before the peer would have finished.
+        let longest = reader.get_ref().inner.longest.get();
+        assert!(longest > Duration::ZERO && longest <= Duration::from_millis(50));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert!(reader.get_ref().inner.sent.len() > 90_000);
     }
 
     #[test]

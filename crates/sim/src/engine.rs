@@ -680,168 +680,150 @@ fn first_changes(kernel: &PhaseKernel<'_>, next_change: &mut [u32]) {
     }
 }
 
-/// The phase recording, in a module of its own so that a public trial
-/// entry point can take one while code outside the crate can only pass
-/// `None`: the type is public but has no public path.
-mod track {
-    use sprint_workloads::generator::Arrivals;
+/// Memory cap on one [`PhaseTrack`], in bytes. A pair whose recording
+/// would pass it runs pass A live.
+const TRACK_CAP_BYTES: usize = 16 << 20;
 
-    use super::{advance_phases, first_changes, PhaseKernel, RunGuard, EVENT_BLOCK};
+/// Bytes per recorded phase event: the agent index and its new value.
+const TRACK_EVENT_BYTES: usize = 12;
 
-    /// Memory cap on one [`PhaseTrack`], in bytes. A pair whose recording
-    /// would pass it runs pass A live.
-    const TRACK_CAP_BYTES: usize = 16 << 20;
+/// One population's phase trajectory, recorded once and replayed by
+/// every run on the same arrivals.
+///
+/// Pass A reads only the epoch, `next_change` and each agent's key and
+/// cohort, and nothing else writes `phase` or `next_change`: the phase
+/// lane at every epoch is a function of the arrivals and the epoch alone,
+/// whatever the policy, game, fault plan or trip history. So the
+/// recording is the kernel's own pass A run once over a phase and a
+/// `next_change` lane, keeping every resample. A replaying run scatters
+/// each epoch's recorded values into its phase lane instead of sampling.
+#[derive(Debug, Default)]
+pub(crate) struct PhaseTrack {
+    /// Agents and epochs recorded; `None` when nothing is.
+    shape: Option<(usize, usize)>,
+    /// Epoch `e`'s events are `starts[e]..starts[e + 1]`.
+    starts: Vec<u32>,
+    /// The resampled agent of each event, ascending within an epoch.
+    agents: Vec<u32>,
+    /// The agent's new phase value.
+    values: Vec<f64>,
+}
 
-    /// Bytes per recorded phase event: the agent index and its new value.
-    const TRACK_EVENT_BYTES: usize = 12;
-
-    /// One population's phase trajectory, recorded once and replayed by
-    /// every run on the same arrivals.
+impl PhaseTrack {
+    /// Record `arrivals`' phase trajectory over `epochs` epochs, replacing
+    /// whatever was recorded before but keeping the buffers. Returns
+    /// `Ok(false)`, with nothing recorded, when the recording would pass
+    /// [`TRACK_CAP_BYTES`]: the expected size (the sum of resample
+    /// probabilities times the horizon) is checked before recording, the
+    /// actual size after every epoch.
     ///
-    /// Pass A reads only the epoch, `next_change` and each agent's key and
-    /// cohort, and nothing else writes `phase` or `next_change`: the phase
-    /// lane at every epoch is a function of the arrivals and the epoch alone,
-    /// whatever the policy, game, fault plan or trip history. So the
-    /// recording is the kernel's own pass A run once over a phase and a
-    /// `next_change` lane, keeping every resample. A replaying run scatters
-    /// each epoch's recorded values into its phase lane instead of sampling.
-    #[derive(Debug, Default)]
-    pub struct PhaseTrack {
-        /// Agents and epochs recorded; `None` when nothing is.
-        shape: Option<(usize, usize)>,
-        /// Epoch `e`'s events are `starts[e]..starts[e + 1]`.
-        pub(super) starts: Vec<u32>,
-        /// The resampled agent of each event, ascending within an epoch.
-        pub(super) agents: Vec<u32>,
-        /// The agent's new phase value.
-        values: Vec<f64>,
+    /// # Errors
+    ///
+    /// The guard's error, at the run's own checkpoint every 64 epochs. A
+    /// stopped recording keeps nothing.
+    pub(crate) fn record(
+        &mut self,
+        arrivals: &Arrivals,
+        epochs: usize,
+        guard: &RunGuard,
+    ) -> crate::Result<bool> {
+        self.clear();
+        let Some(max_events) = epochs
+            .checked_add(1)
+            .and_then(|e| e.checked_mul(4))
+            .and_then(|b| TRACK_CAP_BYTES.checked_sub(b))
+            .map(|b| b / TRACK_EVENT_BYTES)
+        else {
+            return Ok(false);
+        };
+        let expected = (0..arrivals.len())
+            .map(|a| arrivals.cohort(a).resample_probability())
+            .sum::<f64>()
+            * epochs as f64;
+        // Resamples are independent across agents, so their count
+        // strays from its mean by a few square roots at most.
+        let reserve = (expected + 4.0 * expected.sqrt() + 64.0).ceil();
+        if reserve > max_events as f64 {
+            return Ok(false);
+        }
+        let reserved = self.starts.try_reserve_exact(epochs + 1).is_ok()
+            && self.agents.try_reserve_exact(reserve as usize).is_ok()
+            && self.values.try_reserve_exact(reserve as usize).is_ok();
+        if !reserved {
+            return Ok(false);
+        }
+        let n = arrivals.len();
+        let kernel = PhaseKernel::new(arrivals);
+        let mut phase = arrivals.phases().to_vec();
+        let mut next_change = vec![0u32; n];
+        first_changes(&kernel, &mut next_change);
+        let mut events = [0u32; EVENT_BLOCK];
+        self.starts.push(0);
+        for epoch in 0..epochs {
+            if epoch & 63 == 0 {
+                if let Err(e) = guard.checkpoint() {
+                    self.clear();
+                    return Err(e);
+                }
+            }
+            let (agents, values) = (&mut self.agents, &mut self.values);
+            advance_phases(
+                &kernel,
+                epoch as u32,
+                0,
+                &mut phase,
+                &mut next_change,
+                0,
+                n,
+                &mut events,
+                |i, value| {
+                    agents.push(i as u32);
+                    values.push(value);
+                },
+            );
+            if self.agents.len() > max_events {
+                self.clear();
+                return Ok(false);
+            }
+            self.starts.push(self.agents.len() as u32);
+        }
+        self.shape = Some((n, epochs));
+        Ok(true)
     }
 
-    impl PhaseTrack {
-        /// Record `arrivals`' phase trajectory over `epochs` epochs, replacing
-        /// whatever was recorded before but keeping the buffers. Returns
-        /// `Ok(false)`, with nothing recorded, when the recording would pass
-        /// [`TRACK_CAP_BYTES`]: the expected size (the sum of resample
-        /// probabilities times the horizon) is checked before recording, the
-        /// actual size after every epoch.
-        ///
-        /// # Errors
-        ///
-        /// The guard's error, at the run's own checkpoint every 64 epochs. A
-        /// stopped recording keeps nothing.
-        pub(crate) fn record(
-            &mut self,
-            arrivals: &Arrivals,
-            epochs: usize,
-            guard: &RunGuard,
-        ) -> crate::Result<bool> {
-            self.clear();
-            let Some(max_events) = epochs
-                .checked_add(1)
-                .and_then(|e| e.checked_mul(4))
-                .and_then(|b| TRACK_CAP_BYTES.checked_sub(b))
-                .map(|b| b / TRACK_EVENT_BYTES)
-            else {
-                return Ok(false);
-            };
-            let expected = (0..arrivals.len())
-                .map(|a| arrivals.cohort(a).resample_probability())
-                .sum::<f64>()
-                * epochs as f64;
-            // Resamples are independent across agents, so their count
-            // strays from its mean by a few square roots at most.
-            let reserve = (expected + 4.0 * expected.sqrt() + 64.0).ceil();
-            if reserve > max_events as f64 {
-                return Ok(false);
-            }
-            let reserved = self.starts.try_reserve_exact(epochs + 1).is_ok()
-                && self.agents.try_reserve_exact(reserve as usize).is_ok()
-                && self.values.try_reserve_exact(reserve as usize).is_ok();
-            if !reserved {
-                return Ok(false);
-            }
-            let n = arrivals.len();
-            let kernel = PhaseKernel::new(arrivals);
-            let mut phase = arrivals.phases().to_vec();
-            let mut next_change = vec![0u32; n];
-            first_changes(&kernel, &mut next_change);
-            let mut events = [0u32; EVENT_BLOCK];
-            self.starts.push(0);
-            for epoch in 0..epochs {
-                if epoch & 63 == 0 {
-                    if let Err(e) = guard.checkpoint() {
-                        self.clear();
-                        return Err(e);
-                    }
-                }
-                let (agents, values) = (&mut self.agents, &mut self.values);
-                advance_phases(
-                    &kernel,
-                    epoch as u32,
-                    0,
-                    &mut phase,
-                    &mut next_change,
-                    0,
-                    n,
-                    &mut events,
-                    |i, value| {
-                        agents.push(i as u32);
-                        values.push(value);
-                    },
-                );
-                if self.agents.len() > max_events {
-                    self.clear();
-                    return Ok(false);
-                }
-                self.starts.push(self.agents.len() as u32);
-            }
-            self.shape = Some((n, epochs));
-            Ok(true)
-        }
+    /// Drop the recording, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.shape = None;
+        self.starts.clear();
+        self.agents.clear();
+        self.values.clear();
+    }
 
-        /// Drop the recording, keeping the buffers.
-        pub(crate) fn clear(&mut self) {
-            self.shape = None;
-            self.starts.clear();
-            self.agents.clear();
-            self.values.clear();
-        }
+    /// Whether this recording serves a run of `agents` agents over
+    /// `epochs` epochs: it has those agents and at least those epochs.
+    pub(crate) fn covers(&self, agents: usize, epochs: usize) -> bool {
+        self.shape.is_some_and(|(n, e)| n == agents && e >= epochs)
+    }
 
-        /// Whether this recording serves a run of `agents` agents over
-        /// `epochs` epochs: it has those agents and at least those epochs.
-        pub(crate) fn covers(&self, agents: usize, epochs: usize) -> bool {
-            self.shape.is_some_and(|(n, e)| n == agents && e >= epochs)
-        }
-
-        /// Pass A from the recording: write epoch `epoch`'s recorded values
-        /// for lanes `lo..hi` into `phase` (lane `i` is agent `base + i`).
-        /// The epoch's events are sorted by agent, so one binary search
-        /// finds the lanes' first event.
-        #[inline]
-        pub(super) fn replay(
-            &self,
-            epoch: u32,
-            base: usize,
-            phase: &mut [f64],
-            lo: usize,
-            hi: usize,
-        ) {
-            let e = epoch as usize;
-            let (from, to) = (self.starts[e] as usize, self.starts[e + 1] as usize);
-            let agents = &self.agents[from..to];
-            let first = agents.partition_point(|&a| (a as usize) < base + lo);
-            for (&a, &value) in agents[first..].iter().zip(&self.values[from + first..to]) {
-                let i = a as usize - base;
-                if i >= hi {
-                    break;
-                }
-                phase[i] = value;
+    /// Pass A from the recording: write epoch `epoch`'s recorded values
+    /// for lanes `lo..hi` into `phase` (lane `i` is agent `base + i`).
+    /// The epoch's events are sorted by agent, so one binary search
+    /// finds the lanes' first event.
+    #[inline]
+    fn replay(&self, epoch: u32, base: usize, phase: &mut [f64], lo: usize, hi: usize) {
+        let e = epoch as usize;
+        let (from, to) = (self.starts[e] as usize, self.starts[e + 1] as usize);
+        let agents = &self.agents[from..to];
+        let first = agents.partition_point(|&a| (a as usize) < base + lo);
+        for (&a, &value) in agents[first..].iter().zip(&self.values[from + first..to]) {
+            let i = a as usize - base;
+            if i >= hi {
+                break;
             }
+            phase[i] = value;
         }
     }
 }
-
-pub(crate) use track::PhaseTrack;
 
 /// Where pass A's phases come from.
 #[derive(Clone, Copy)]
