@@ -687,27 +687,34 @@ const TRACK_CAP_BYTES: usize = 16 << 20;
 /// Bytes per recorded phase event: the agent index and its new value.
 const TRACK_EVENT_BYTES: usize = 12;
 
-/// One population's phase trajectory, recorded once and replayed by
-/// every run on the same arrivals.
-///
-/// Pass A reads only the epoch, `next_change` and each agent's key and
-/// cohort, and nothing else writes `phase` or `next_change`: the phase
-/// lane at every epoch is a function of the arrivals and the epoch alone,
-/// whatever the policy, game, fault plan or trip history. So the
-/// recording is the kernel's own pass A run once over a phase and a
-/// `next_change` lane, keeping every resample. A replaying run scatters
-/// each epoch's recorded values into its phase lane instead of sampling.
-#[derive(Debug, Default)]
-pub(crate) struct PhaseTrack {
-    /// Agents and epochs recorded; `None` when nothing is.
-    shape: Option<(usize, usize)>,
-    /// Epoch `e`'s events are `starts[e]..starts[e + 1]`.
-    starts: Vec<u32>,
-    /// The resampled agent of each event, ascending within an epoch.
-    agents: Vec<u32>,
-    /// The agent's new phase value.
-    values: Vec<f64>,
+/// The phase recording's type: public in a private module, so that a
+/// public trial entry point can take one while code outside the crate
+/// can only pass `None`.
+mod track {
+    /// One population's phase trajectory, recorded once and replayed by
+    /// every run on the same arrivals.
+    ///
+    /// Pass A reads only the epoch, `next_change` and each agent's key and
+    /// cohort, and nothing else writes `phase` or `next_change`: the phase
+    /// lane at every epoch is a function of the arrivals and the epoch alone,
+    /// whatever the policy, game, fault plan or trip history. So the
+    /// recording is the kernel's own pass A run once over a phase and a
+    /// `next_change` lane, keeping every resample. A replaying run scatters
+    /// each epoch's recorded values into its phase lane instead of sampling.
+    #[derive(Debug, Default)]
+    pub struct PhaseTrack {
+        /// Agents and epochs recorded; `None` when nothing is.
+        pub(super) shape: Option<(usize, usize)>,
+        /// Epoch `e`'s events are `starts[e]..starts[e + 1]`.
+        pub(super) starts: Vec<u32>,
+        /// The resampled agent of each event, ascending within an epoch.
+        pub(super) agents: Vec<u32>,
+        /// The agent's new phase value.
+        pub(super) values: Vec<f64>,
+    }
 }
+
+pub(crate) use track::PhaseTrack;
 
 impl PhaseTrack {
     /// Record `arrivals`' phase trajectory over `epochs` epochs, replacing

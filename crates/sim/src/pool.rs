@@ -13,9 +13,9 @@
 //! trial of [`crate::runner::compare`] and [`crate::runner::chaos`] —
 //! go through [`run_supervised`], the one trial driver: it deals the
 //! trials out grouped by their (population, seed) pair, lends each
-//! attempt its pair's arrivals and phase recording, and supervises
-//! every attempt ([`Supervision`]: deadline, cancellation, bounded
-//! retries, panic isolation).
+//! attempt its pair's one build ([`Pairs`]), and supervises every
+//! attempt ([`Supervision`]: deadline, cancellation, bounded retries,
+//! panic isolation).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -123,26 +123,6 @@ where
     }
 }
 
-/// A job's trials, each of which runs on one (population, seed) pair.
-pub(crate) struct Job<'a> {
-    /// Each pair's population and seed.
-    pub(crate) pairs: Vec<(&'a Population, u64)>,
-    /// Each trial's pair, in trial order.
-    pub(crate) trial_pairs: Vec<usize>,
-    /// Epochs per trial: what a pair's recording covers.
-    pub(crate) epochs: usize,
-    /// The job's thread budget ([`thread_budget`]).
-    pub(crate) jobs: usize,
-}
-
-/// What the pool lends one trial attempt: its pair's arrivals, their
-/// phase recording when there is one, and the engine threads it may use.
-pub(crate) struct Lent<'a> {
-    pub(crate) arrivals: &'a Arrivals,
-    pub(crate) track: Option<&'a PhaseTrack>,
-    pub(crate) jobs: usize,
-}
-
 /// A job's trials after [`run_supervised`].
 pub(crate) struct Ran<T> {
     /// Per trial, in trial order: its outcome, its wall nanos and the
@@ -152,34 +132,15 @@ pub(crate) struct Ran<T> {
     pub(crate) workers: Vec<WorkerHealth>,
     /// The pool's wall nanos.
     pub(crate) pool_nanos: u64,
-    /// Pool workers and engine threads per trial.
-    pub(crate) budget: (usize, usize),
     /// The workers' trial lifecycle events, when they were asked for.
     pub(crate) ring: Option<EventRing>,
-    /// Population builds, phase recordings and trials handed one.
-    counts: [u64; 3],
 }
 
-impl<T> Ran<T> {
-    /// Add the job's population builds, phase recordings and replays to
-    /// `registry` as `{prefix}.population_builds`, `{prefix}.phase_tracks`
-    /// and `{prefix}.phase_replays`.
-    pub(crate) fn export_builds(&self, prefix: &str, registry: &mut Registry) {
-        for (name, count) in ["population_builds", "phase_tracks", "phase_replays"]
-            .iter()
-            .zip(self.counts)
-        {
-            let c = registry.counter(&format!("{prefix}.{name}"));
-            registry.inc(c, count);
-        }
-    }
-}
-
-/// Run `trial` for every trial of `job` on the pool — the one trial
-/// driver. Workers take the trials grouped by pair, in trial order
-/// within a pair, and every attempt runs under `supervision` on its
-/// pair's one build, which the first trial to need it builds and, when
-/// the pair has two or more trials, records ([`Pairs::lend`]). With
+/// Run `trial` for every trial of `pairs` on the pool within a budget
+/// of `jobs` threads ([`thread_budget`]) — the one trial driver.
+/// Workers take the trials grouped by pair, in trial order within a
+/// pair, and every attempt runs under `supervision` on its pair's one
+/// build ([`Pairs::lend`]), with the engine threads it may use. With
 /// `events`, each worker records a [`Event::TrialStarted`] and
 /// [`Event::TrialFinished`] per trial into a ring segment of its own.
 ///
@@ -188,7 +149,8 @@ impl<T> Ran<T> {
 /// [`SimError::WorkerPanicked`] when a worker dies outside a supervised
 /// attempt; trial failures are the trials' own outcomes.
 pub(crate) fn run_supervised<T, F>(
-    job: &Job<'_>,
+    pairs: &Pairs<'_>,
+    jobs: usize,
     supervision: &Supervision,
     what: &'static str,
     events: bool,
@@ -196,12 +158,12 @@ pub(crate) fn run_supervised<T, F>(
 ) -> crate::Result<Ran<T>>
 where
     T: Send,
-    F: Fn(usize, Lent<'_>, &mut RunGuard) -> crate::Result<T> + Sync,
+    F: Fn(usize, &Built, usize, &RunGuard) -> crate::Result<T> + Sync,
 {
-    let count = job.trial_pairs.len();
-    let (workers, intra_jobs) = thread_budget(job.jobs, count);
+    let count = pairs.trial_pairs.len();
+    let (workers, intra_jobs) = thread_budget(jobs, count);
     let mut order: Vec<usize> = (0..count).collect();
-    order.sort_by_key(|&id| job.trial_pairs[id]);
+    order.sort_by_key(|&id| pairs.trial_pairs[id]);
     // The ring is sized so that a worker that runs every trial still
     // never drops an event.
     let (ring, producers) = if events {
@@ -212,7 +174,6 @@ where
         (None, (0..workers).map(|_| None).collect::<Vec<_>>())
     };
     let states = producers.into_iter().enumerate().collect();
-    let pairs = Pairs::new(job);
 
     let started = Instant::now();
     let drained = run(states, &order, what, |(worker, producer), id| {
@@ -222,17 +183,11 @@ where
                 worker: *worker,
             });
         }
-        let pair = job.trial_pairs[id];
-        let attempt = |guard: &mut RunGuard| {
+        let pair = pairs.trial_pairs[id];
+        let (outcome, attempts) = supervise(supervision, what, id, |guard| {
             let built = pairs.lend(pair, intra_jobs, guard)?;
-            let lent = Lent {
-                arrivals: &built.arrivals,
-                track: built.track.as_ref(),
-                jobs: intra_jobs,
-            };
-            trial(id, lent, guard)
-        };
-        let (outcome, attempts) = supervise(supervision, what, id, attempt);
+            trial(id, &built, intra_jobs, guard)
+        });
         pairs.finish(pair);
         if let Some(p) = producer.as_mut() {
             p.record(&Event::TrialFinished {
@@ -250,7 +205,6 @@ where
         .into_iter()
         .map(|(ran, nanos)| ran.map(|(outcome, attempts)| (outcome, nanos, attempts)))
         .collect::<crate::Result<_>>()?;
-    let counts = pairs.counts.map(AtomicU64::into_inner);
     Ok(Ran {
         trials,
         workers: drained
@@ -264,9 +218,7 @@ where
             })
             .collect(),
         pool_nanos,
-        budget: (workers, intra_jobs),
         ring,
-        counts,
     })
 }
 
@@ -334,8 +286,13 @@ fn supervise<T>(
 /// Runs read arrivals and never write them, so every trial and retry of
 /// a pair runs on its one build, replays its one recording, and sees
 /// what a fresh build would give it.
-struct Pairs<'a> {
-    job: &'a Job<'a>,
+pub(crate) struct Pairs<'a> {
+    /// Each pair's population and seed.
+    pairs: Vec<(&'a Population, u64)>,
+    /// Each trial's pair, in trial order.
+    trial_pairs: Vec<usize>,
+    /// Epochs per trial: what a pair's recording covers.
+    epochs: usize,
     /// Per pair, its build once made, until its last trial ends. The
     /// slot's lock is held while the pair builds and records, so a
     /// second trial of the pair waits for the first's build.
@@ -348,19 +305,27 @@ struct Pairs<'a> {
 
 /// One pair's build: its arrivals and their phase trajectory, recorded
 /// when the pair has two or more trials and the recording fits its cap.
-struct Built {
-    arrivals: Arrivals,
-    track: Option<PhaseTrack>,
+pub(crate) struct Built {
+    pub(crate) arrivals: Arrivals,
+    pub(crate) track: Option<PhaseTrack>,
 }
 
 impl<'a> Pairs<'a> {
-    fn new(job: &'a Job<'a>) -> Self {
-        let mut trials = vec![0usize; job.pairs.len()];
-        for &pair in &job.trial_pairs {
+    /// The pairs of a job whose trial `id` runs `epochs` epochs on pair
+    /// `trial_pairs[id]`.
+    pub(crate) fn new(
+        pairs: Vec<(&'a Population, u64)>,
+        trial_pairs: Vec<usize>,
+        epochs: usize,
+    ) -> Self {
+        let mut trials = vec![0usize; pairs.len()];
+        for &pair in &trial_pairs {
             trials[pair] += 1;
         }
         Pairs {
-            job,
+            pairs,
+            trial_pairs,
+            epochs,
             slots: trials.iter().map(|_| Mutex::new(None)).collect(),
             left: trials.into_iter().map(AtomicUsize::new).collect(),
             counts: Default::default(),
@@ -379,8 +344,9 @@ impl<'a> Pairs<'a> {
     ///
     /// # Errors
     ///
-    /// A failed build, or the cancel token stopping the recording; the
-    /// pair stays unbuilt, and its next attempt builds it again.
+    /// A failed build, or a fired cancel token before the build or
+    /// during the recording; the pair stays unbuilt, and its next
+    /// attempt builds it again.
     fn lend(&self, pair: usize, jobs: usize, guard: &mut RunGuard) -> crate::Result<Arc<Built>> {
         let asked = Instant::now();
         let mut slot = self.slots[pair]
@@ -390,7 +356,12 @@ impl<'a> Pairs<'a> {
         let built = match slot.as_ref() {
             Some(built) => Arc::clone(built),
             None => {
-                let (population, seed) = self.job.pairs[pair];
+                // Trials that waited on a build the token stopped must
+                // not each build the pair again before they fail.
+                if let Some(token) = &guard.cancel {
+                    token.check("population build")?;
+                }
+                let (population, seed) = self.pairs[pair];
                 let arrivals = population.arrivals(seed, jobs)?;
                 self.counts[0].fetch_add(1, Ordering::Relaxed);
                 let mut track = None;
@@ -401,7 +372,7 @@ impl<'a> Pairs<'a> {
                         cancel: guard.cancel.clone(),
                     };
                     let mut recorded = PhaseTrack::default();
-                    if recorded.record(&arrivals, self.job.epochs, &cancel_only)? {
+                    if recorded.record(&arrivals, self.epochs, &cancel_only)? {
                         self.counts[1].fetch_add(1, Ordering::Relaxed);
                         track = Some(recorded);
                     }
@@ -425,6 +396,19 @@ impl<'a> Pairs<'a> {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             *slot = None;
+        }
+    }
+
+    /// Add the job's population builds, phase recordings and replays to
+    /// `registry` as `{prefix}.population_builds`, `{prefix}.phase_tracks`
+    /// and `{prefix}.phase_replays`.
+    pub(crate) fn export(&self, prefix: &str, registry: &mut Registry) {
+        for (name, count) in ["population_builds", "phase_tracks", "phase_replays"]
+            .iter()
+            .zip(&self.counts)
+        {
+            let c = registry.counter(&format!("{prefix}.{name}"));
+            registry.inc(c, count.load(Ordering::Relaxed));
         }
     }
 }
@@ -493,13 +477,11 @@ mod tests {
 
         let population = Population::homogeneous(Benchmark::Svm, 200).unwrap();
         // Pair 0 has two trials, pair 1 one, pair 2 two.
-        let job = Job {
-            pairs: vec![(&population, 3), (&population, 4), (&population, 5)],
-            trial_pairs: vec![0, 0, 1, 2, 2],
-            epochs: 50,
-            jobs: 1,
-        };
-        let pairs = Pairs::new(&job);
+        let pairs = Pairs::new(
+            vec![(&population, 3), (&population, 4), (&population, 5)],
+            vec![0, 0, 1, 2, 2],
+            50,
+        );
         // The recording is not charged to the trial's deadline: one that
         // has already passed does not stop it.
         let mut guard = RunGuard {
@@ -519,7 +501,8 @@ mod tests {
         assert!(pairs.slots[0].lock().unwrap().is_some());
         pairs.finish(0);
         assert!(pairs.slots[0].lock().unwrap().is_none());
-        // The cancel token still stops a recording, and nothing is kept.
+        // A fired cancel token stops an unbuilt pair before its build,
+        // and nothing is kept.
         let token = CancelToken::new();
         token.cancel();
         let mut guard = RunGuard {
@@ -530,7 +513,7 @@ mod tests {
         assert!(matches!(stopped, Err(SimError::Cancelled { .. })));
         assert!(pairs.slots[2].lock().unwrap().is_none());
         let counts = pairs.counts.map(AtomicU64::into_inner);
-        assert_eq!(counts, [3, 1, 2]);
+        assert_eq!(counts, [2, 1, 2]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! populations, and options, see [`crate::sweep`].
 
 use sprint_game::EquilibriumCache;
-use sprint_stats::summary::ConfidenceInterval;
+use sprint_stats::summary::{confidence_interval_95, ConfidenceInterval, OnlineStats};
 use sprint_telemetry::Telemetry;
 
 use crate::control::{ControlConfig, ControlReport, ControlSim, DetectorConfig};
@@ -23,7 +23,7 @@ use crate::policies::AdversaryMix;
 use crate::policy::PolicyKind;
 use crate::pool;
 use crate::scenario::Scenario;
-use crate::sweep::{CellStats, Supervision};
+use crate::sweep::Supervision;
 use crate::SimError;
 
 /// Aggregated outcome of one policy across trials.
@@ -48,6 +48,38 @@ pub struct PolicyOutcome {
     /// Per-fault counters summed across trials (all zero without an
     /// active fault plan).
     pub faults: FaultMetrics,
+}
+
+impl PolicyOutcome {
+    /// Summarize `policy`'s trials from each trial's throughput per
+    /// agent-epoch, breaker trips, mean sprinters and occupancy
+    /// fractions, in trial order: the mean, spread and 95 % interval of
+    /// the throughput and the means of the rest, with no fault counters.
+    /// A sweep cell reports the same statistics of its trials.
+    pub(crate) fn of(policy: PolicyKind, trials: &[(f64, u32, f64, [f64; 4])]) -> Self {
+        let count = trials.len() as f64;
+        let per_trial: Vec<f64> = trials.iter().map(|t| t.0).collect();
+        let tasks: OnlineStats = per_trial.iter().copied().collect();
+        let mut occupancy = [0.0f64; 4];
+        for t in trials {
+            for (acc, x) in occupancy.iter_mut().zip(t.3) {
+                *acc += x;
+            }
+        }
+        for acc in &mut occupancy {
+            *acc /= count;
+        }
+        PolicyOutcome {
+            policy,
+            tasks_per_agent_epoch: tasks.mean(),
+            tasks_std_dev: tasks.std_dev(),
+            tasks_ci: confidence_interval_95(&per_trial).ok(),
+            occupancy,
+            mean_sprinters: trials.iter().map(|t| t.2).sum::<f64>() / count,
+            trips: trials.iter().map(|t| f64::from(t.1)).sum::<f64>() / count,
+            faults: FaultMetrics::default(),
+        }
+    }
 }
 
 /// A full policy comparison with Greedy-normalized throughput.
@@ -144,37 +176,37 @@ fn run_legs(
     }
 
     let per_leg = policies.len() * seeds.len();
-    let job = pool::Job {
-        pairs: seeds
+    let pairs = pool::Pairs::new(
+        seeds
             .iter()
             .map(|&seed| (legs[0].population(), seed))
             .collect(),
-        trial_pairs: (0..legs.len() * per_leg)
+        (0..legs.len() * per_leg)
             .map(|id| id % seeds.len())
             .collect(),
-        epochs: legs[0].epochs(),
-        jobs,
-    };
+        legs[0].epochs(),
+    );
     let cache = EquilibriumCache::default();
     let once = Supervision {
         retries: 0,
         ..Supervision::default()
     };
     let ran = pool::run_supervised(
-        &job,
+        &pairs,
+        jobs,
         &once,
         "policy comparison trial",
         false,
-        |id, lent, guard| {
+        |id, built, intra_jobs, guard| {
             let (r, _) = legs[id / per_leg].run_trial(
                 policies[id / seeds.len() % policies.len()],
                 seeds[id % seeds.len()],
-                lent.arrivals,
-                lent.track,
+                &built.arrivals,
+                built.track.as_ref(),
                 Some(&cache),
                 AdversaryMix::honest(),
                 guard,
-                lent.jobs,
+                intra_jobs,
                 &mut Telemetry::noop(),
             )?;
             let facts = (
@@ -190,7 +222,7 @@ fn run_legs(
         .spans
         .record_nanos("runner.compare", ran.pool_nanos);
     if telemetry.enabled() {
-        ran.export_builds("runner", &mut telemetry.registry);
+        pairs.export("runner", &mut telemetry.registry);
     }
     cache.export_metrics(&mut telemetry.registry);
 
@@ -215,16 +247,9 @@ fn run_legs(
                 faults.spurious_trips += f.spurious_trips;
                 faults.missed_trips += f.missed_trips;
             }
-            let stats = CellStats::of(&trials);
             outcomes.push(PolicyOutcome {
-                policy,
-                tasks_per_agent_epoch: stats.tasks_per_agent_epoch,
-                tasks_std_dev: stats.tasks_std_dev,
-                tasks_ci: stats.tasks_ci,
-                occupancy: stats.occupancy,
-                mean_sprinters: stats.mean_sprinters,
-                trips: stats.trips,
                 faults,
+                ..PolicyOutcome::of(policy, &trials)
             });
         }
         comparisons.push(Comparison { outcomes });

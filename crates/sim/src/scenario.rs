@@ -473,22 +473,16 @@ impl Scenario {
 
     /// Run `kind` with `seed` on `arrivals`, this scenario's population
     /// built for `seed` — the one code that turns a policy, a seed and a
-    /// build into a run: Run jobs, sweep and runner trials and
-    /// [`Scenario::execute`] all run through it.
-    ///
-    /// - **Policy.** With a `cache`, E-T solves through it cold and
-    ///   unnarrated and its [`SolveSummary`] comes back with the result
-    ///   ([`Scenario::equilibrium_policy_cached_cold`]). Without one, the
-    ///   policy is built narrated into `telemetry` and, with an enabled
-    ///   kit, timed as `scenario.solve`. The other kinds solve nothing
-    ///   observable either way.
-    /// - **Adversaries.** A `mix` with a positive fraction turns that
-    ///   share of the agents adversarial ([`AdversarialPopulation`]).
-    /// - **Run.** The engine runs under `guard` on `jobs` threads,
-    ///   observed by `telemetry`, and replays `track` — a recording the
-    ///   crate's trial pool made of these arrivals — when it covers the
-    ///   run. Callers outside the crate pass `None` and sample live; the
-    ///   result is the same bit for bit.
+    /// build into a run, for Run jobs, sweep and runner trials and
+    /// [`Scenario::execute`]. With a `cache`, E-T solves through it cold
+    /// and unnarrated and returns its [`SolveSummary`]; without one, the
+    /// policy is built narrated into `telemetry` (timed as
+    /// `scenario.solve` in an enabled kit). A `mix` with a positive
+    /// fraction turns that share of the agents adversarial. The engine
+    /// runs under `guard` on `jobs` threads and replays `track`, a
+    /// recording the crate's trial pool made of these arrivals, when it
+    /// covers the run; callers outside the crate pass `None` and sample
+    /// live, with the same result bit for bit.
     ///
     /// # Errors
     ///

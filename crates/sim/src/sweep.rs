@@ -24,9 +24,10 @@
 //!   the cache held before.
 //! - **Population reuse.** A trial's arrivals depend only on its
 //!   population and seed. The crate's one trial driver deals the
-//!   trials out grouped by that pair; each worker runs the trials and
-//!   retries of a pair it takes on one read-only build, and replays the
-//!   pair's recorded phase trajectory when it runs enough of them.
+//!   trials out grouped by that pair and builds each pair once per job:
+//!   every trial and retry of the pair, on whichever worker, runs on
+//!   that one read-only build, and replays the pair's one recorded
+//!   phase trajectory when the pair has two or more trials.
 //!
 //! Every trial runs through [`Scenario::run_trial`], the one code that
 //! turns a policy, a seed and a build into a run.
@@ -41,17 +42,16 @@
 //! the quarantine list is ordered by trial id for every `--jobs`.
 
 use sprint_game::{EquilibriumCache, GameConfig};
-use sprint_stats::summary::{confidence_interval_95, ConfidenceInterval, OnlineStats};
+use sprint_stats::summary::ConfidenceInterval;
 use sprint_telemetry::{Event, Telemetry, WorkerHealth};
 use sprint_workloads::generator::Population;
 use sprint_workloads::Benchmark;
 
 use crate::engine::{self, RunOptions};
-use crate::metrics::SimResult;
 use crate::policies::AdversaryMix;
 use crate::policy::PolicyKind;
 use crate::pool;
-use crate::runner::NamedPlan;
+use crate::runner::{NamedPlan, PolicyOutcome};
 use crate::scenario::{Scenario, SolveSummary};
 use crate::SimError;
 
@@ -598,22 +598,22 @@ pub fn run_sweep_shared(
     let plans = spec.effective_plans();
     let adversaries = spec.effective_adversaries();
     let trials = spec.expand(&plans, &adversaries);
-    let job = pool::Job {
-        pairs: populations
+    let pairs = pool::Pairs::new(
+        populations
             .iter()
             .flat_map(|p| spec.seeds.iter().map(move |&seed| (p, seed)))
             .collect(),
-        trial_pairs: trials.iter().map(|t| t.pair).collect(),
-        epochs: spec.epochs,
-        jobs,
-    };
+        trials.iter().map(|t| t.pair).collect(),
+        spec.epochs,
+    );
     let profile = telemetry.enabled();
     let mut ran = pool::run_supervised(
-        &job,
+        &pairs,
+        jobs,
         &supervision,
         "sweep trial",
         profile,
-        |id, lent, guard| {
+        |id, built, intra_jobs, guard| {
             let trial = &trials[id];
             let scenario = Scenario::with_game(
                 populations[trial.population].clone(),
@@ -627,15 +627,29 @@ pub fn run_sweep_shared(
             let (result, solve) = scenario.run_trial(
                 spec.policies[trial.policy],
                 trial.seed,
-                lent.arrivals,
-                lent.track,
+                &built.arrivals,
+                built.track.as_ref(),
                 Some(cache),
                 adversaries[trial.adversary].mix,
                 guard,
-                lent.jobs,
+                intra_jobs,
                 &mut Telemetry::noop(),
             )?;
-            Ok(record_of(spec, &plans, &adversaries, trial, &result, solve))
+            Ok(SweepRecord {
+                trial: trial.id,
+                game: spec.games[trial.game].name.clone(),
+                population: spec.populations[trial.population].name.clone(),
+                plan: plans[trial.plan].name.clone(),
+                adversaries: adversaries[trial.adversary].name.clone(),
+                policy: spec.policies[trial.policy],
+                seed: trial.seed,
+                tasks_per_agent_epoch: result.tasks_per_agent_epoch(),
+                total_tasks: result.total_tasks(),
+                trips: result.trips(),
+                mean_sprinters: result.mean_sprinters(),
+                occupancy: result.occupancy().fractions(),
+                solve,
+            })
         },
     )?;
     // A fired cancel/deadline token fails the sweep outright: partial
@@ -706,13 +720,13 @@ pub fn run_sweep_shared(
     telemetry.registry.inc(c, quarantined.len() as u64);
     let c = telemetry.registry.counter("sweep.retries");
     telemetry.registry.inc(c, retried);
-    let (jobs, intra_jobs) = ran.budget;
+    let (jobs, intra_jobs) = pool::thread_budget(jobs, trials.len());
     let g = telemetry.registry.gauge("sweep.jobs");
     telemetry.registry.set(g, jobs as f64);
     let g = telemetry.registry.gauge("sweep.intra_jobs");
     telemetry.registry.set(g, intra_jobs as f64);
     if profile {
-        ran.export_builds("sweep", &mut telemetry.registry);
+        pairs.export("sweep", &mut telemetry.registry);
     }
 
     Ok(SweepReport {
@@ -722,32 +736,6 @@ pub fn run_sweep_shared(
         quarantined,
         workers: ran.workers,
     })
-}
-
-/// The record of `trial`'s run.
-fn record_of(
-    spec: &SweepSpec,
-    plans: &[NamedPlan],
-    adversaries: &[NamedAdversaries],
-    trial: &Trial,
-    result: &SimResult,
-    solve: Option<SolveSummary>,
-) -> SweepRecord {
-    SweepRecord {
-        trial: trial.id,
-        game: spec.games[trial.game].name.clone(),
-        population: spec.populations[trial.population].name.clone(),
-        plan: plans[trial.plan].name.clone(),
-        adversaries: adversaries[trial.adversary].name.clone(),
-        policy: spec.policies[trial.policy],
-        seed: trial.seed,
-        tasks_per_agent_epoch: result.tasks_per_agent_epoch(),
-        total_tasks: result.total_tasks(),
-        trips: result.trips(),
-        mean_sprinters: result.mean_sprinters(),
-        occupancy: result.occupancy().fractions(),
-        solve,
-    }
 }
 
 /// Fold records into per-cell aggregates, normalizing each policy cell
@@ -778,7 +766,8 @@ fn aggregate_cells(records: &[SweepRecord]) -> Vec<SweepCell> {
         .iter()
         .map(|chunk| {
             let first = chunk[0];
-            let stats = CellStats::of(
+            let stats = PolicyOutcome::of(
+                first.policy,
                 &chunk
                     .iter()
                     .map(|r| {
@@ -827,47 +816,6 @@ fn aggregate_cells(records: &[SweepRecord]) -> Vec<SweepCell> {
         }
     }
     cells
-}
-
-/// The statistics a [`SweepCell`] and a runner
-/// [`PolicyOutcome`](crate::runner::PolicyOutcome) both report over a
-/// cell's trials.
-pub(crate) struct CellStats {
-    pub(crate) tasks_per_agent_epoch: f64,
-    pub(crate) tasks_std_dev: f64,
-    pub(crate) tasks_ci: Option<ConfidenceInterval>,
-    pub(crate) trips: f64,
-    pub(crate) mean_sprinters: f64,
-    pub(crate) occupancy: [f64; 4],
-}
-
-impl CellStats {
-    /// Summarize a cell from each trial's throughput per agent-epoch,
-    /// breaker trips, mean sprinters and occupancy fractions, in trial
-    /// order: the mean, spread and 95 % interval of the throughput, and
-    /// the means of the rest.
-    pub(crate) fn of(trials: &[(f64, u32, f64, [f64; 4])]) -> Self {
-        let count = trials.len() as f64;
-        let per_trial: Vec<f64> = trials.iter().map(|t| t.0).collect();
-        let tasks: OnlineStats = per_trial.iter().copied().collect();
-        let mut occupancy = [0.0f64; 4];
-        for t in trials {
-            for (acc, x) in occupancy.iter_mut().zip(t.3) {
-                *acc += x;
-            }
-        }
-        for acc in &mut occupancy {
-            *acc /= count;
-        }
-        CellStats {
-            tasks_per_agent_epoch: tasks.mean(),
-            tasks_std_dev: tasks.std_dev(),
-            tasks_ci: confidence_interval_95(&per_trial).ok(),
-            trips: trials.iter().map(|t| f64::from(t.1)).sum::<f64>() / count,
-            mean_sprinters: trials.iter().map(|t| t.2).sum::<f64>() / count,
-            occupancy,
-        }
-    }
 }
 
 #[cfg(test)]
