@@ -68,6 +68,13 @@ impl SprintPolicy for ExponentialBackoff {
         }
     }
 
+    /// [`SprintPolicy::wants_sprint`] is the countdown rule over the
+    /// waits, which only a trip's refill in [`SprintPolicy::epoch_end`]
+    /// sets.
+    fn countdown(&mut self) -> Option<&mut [u32]> {
+        Some(&mut self.waits)
+    }
+
     fn export_metrics(&self, registry: &mut sprint_telemetry::Registry) {
         let g = registry.gauge("policy.backoff.exponent");
         registry.set(g, f64::from(self.exponent));

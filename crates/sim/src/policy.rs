@@ -59,8 +59,10 @@ impl std::fmt::Display for PolicyKind {
 /// `(agent, utility)` — Greedy and the threshold policies — export one of
 /// these so the engine can evaluate decisions inside its parallel agent
 /// kernel without threading `&mut dyn SprintPolicy` across workers.
-/// Stateful policies (backoff, adaptive, …) return `None` from
-/// [`SprintPolicy::static_decider`] and keep the serial decision loop.
+/// Stateful policies return `None` from [`SprintPolicy::static_decider`]:
+/// E-B hands the kernel its waits instead
+/// ([`SprintPolicy::countdown`]), and the rest (adaptive, grim trigger,
+/// …) keep the serial decision loop.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StaticDecider {
     /// Sprint at every opportunity (Greedy).
@@ -111,6 +113,21 @@ pub trait SprintPolicy: Send {
     /// serial `wants_sprint` path).
     fn note_decisions(&mut self, n: u64) {
         let _ = n;
+    }
+
+    /// The per-agent waits of a policy that decides by the countdown
+    /// rule: an agent that may decide sprints when its wait is 0 and
+    /// otherwise counts its wait down by one.
+    ///
+    /// Returning `Some` (one wait per agent) lets the engine decide
+    /// inside its fused kernel over a wait lane of its own. The lane
+    /// starts from these waits; after [`SprintPolicy::epoch_end`] sees
+    /// a trip the engine copies the waits into the lane again (so only
+    /// `epoch_end` may change them during a run), and at the end of the
+    /// run it writes the lane back here. The default (`None`) keeps
+    /// every decision on [`SprintPolicy::wants_sprint`].
+    fn countdown(&mut self) -> Option<&mut [u32]> {
+        None
     }
 
     /// Observe the epoch's outcome (breaker tripped or not). Called once
