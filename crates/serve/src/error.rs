@@ -55,6 +55,12 @@ pub enum ServeError {
         /// The quota that was hit.
         limit: usize,
     },
+    /// A finished job's report was evicted from memory under the
+    /// daemon's report budget, and no spooled copy exists.
+    Gone {
+        /// The job id.
+        id: u64,
+    },
     /// A cancel was requested for a job already in a terminal state.
     NotCancellable {
         /// The job id.
@@ -82,6 +88,7 @@ impl ServeError {
             ServeError::AlreadyDraining
             | ServeError::Stopped
             | ServeError::NotCancellable { .. } => 409,
+            ServeError::Gone { .. } => 410,
             ServeError::PayloadTooLarge { .. } => 413,
             ServeError::TooBusy { .. }
             | ServeError::RateLimited { .. }
@@ -137,6 +144,10 @@ impl std::fmt::Display for ServeError {
                     "client `{client}` is at its quota of {limit} active jobs"
                 )
             }
+            ServeError::Gone { id } => write!(
+                f,
+                "job {id}'s report was evicted from memory and has no spooled copy"
+            ),
             ServeError::NotCancellable { id, state } => {
                 write!(f, "job {id} is already {state}; nothing to cancel")
             }

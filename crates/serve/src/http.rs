@@ -214,6 +214,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        410 => "Gone",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
