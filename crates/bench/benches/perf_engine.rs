@@ -3,26 +3,30 @@
 //! Measures the struct-of-arrays agent kernel end to end and enforces the
 //! hot-path contracts:
 //!
-//! - agent-epochs/sec at N ∈ {10k, 100k, 1M}, serial and at 4 jobs on the
-//!   persistent worker pool, against a faithful reimplementation of the
+//! - agent-epochs/sec at N ∈ {10k, 100k, 1M}, serial and at as many jobs
+//!   as the host has cores on the persistent worker pool, against a
+//!   faithful reimplementation of the
 //!   pre-SoA epoch loop (per-epoch `Vec` allocation, sequential `StdRng`,
 //!   per-agent dyn policy dispatch); legs run interleaved round-robin
 //!   across repetitions so frequency drift cannot bias one side;
 //! - the serial kernel beats the reference loop by ≥ `MIN_SERIAL_SPEEDUP`
 //!   at the gate size (N=100k);
-//! - 4 jobs beat serial by ≥ `MIN_PARALLEL_SPEEDUP` at the gate size,
-//!   enforced only when the host actually has ≥ 4 cores;
-//! - reports are byte-identical across `jobs ∈ {1, 4}` at every size,
-//!   including the N=10⁶ demonstration run;
+//! - the parallel rows beat serial by ≥ `MIN_PARALLEL_SPEEDUP` at the
+//!   gate size, enforced only when the host has ≥ `GATE_CORES` cores;
+//! - reports are byte-identical across `jobs ∈ {1, cores}` at every
+//!   size, including the N=10⁶ demonstration run;
 //! - a short chunk-size sweep at the gate size records how the
 //!   `chunk_agents` tile interacts with L2 residency;
-//! - serial rows at the gate size for the two other kernel paths: E-T
-//!   under every fault class (`FaultPlan::composite`) and the serial
-//!   decide loop of the stateful E-B policy;
+//! - serial rows at the gate size for the other kernel paths: E-T under
+//!   every fault class (`FaultPlan::composite`), E-B's countdown in the
+//!   fused pass, and the serial decide loop with its Settle pass, which
+//!   E-T takes when its snapshot is hidden;
+//! - E-B and E-T rows at 200000 agents × 200 epochs at jobs 1 and 2, so
+//!   the two policies' gains from a second job can be compared;
 //! - every engine row runs the path the products run: the population
 //!   built as flat arrivals (`Population::arrivals`) and run read-only
 //!   by `engine::run_arrivals`;
-//! - the epoch loop allocates nothing on any of the three kernel paths,
+//! - the epoch loop allocates nothing on any of the four kernel paths,
 //!   serial *and* with the pool live: a counting global allocator sees
 //!   the same allocation count for a 2× longer horizon;
 //! - population builds (`Population::arrivals`) are timed at
@@ -146,7 +150,13 @@ const MIN_PARALLEL_SPEEDUP: f64 = 2.0;
 /// A multi-core run may not lose more than this fraction of the parallel
 /// speedup the previous multi-core run recorded.
 const REGRESSION_TOLERANCE: f64 = 0.9;
-const PARALLEL_JOBS: usize = 4;
+/// The fewest cores on which the parallel gates are enforced.
+const GATE_CORES: usize = 4;
+/// Size and job counts of the rows that compare E-B's and E-T's gain from
+/// a second job.
+const DECIDE_AGENTS: usize = 200_000;
+const DECIDE_EPOCHS: usize = 200;
+const DECIDE_JOBS: [usize; 2] = [1, 2];
 /// The size the speedup gates are evaluated at (the ISSUE's contract
 /// point); the scaling table extends beyond it.
 const GATE_AGENTS: usize = 100_000;
@@ -196,16 +206,20 @@ enum KernelPath {
     /// E-T under every fault class: the fused kernel with crash churn and
     /// stuck gates.
     Composite,
-    /// The stateful E-B policy: the serial decide loop between an advance
-    /// pass and a settle pass.
+    /// The E-B policy: its waits count down in the fused pass.
     Backoff,
+    /// E-T with its snapshot hidden: the serial decide loop between an
+    /// advance pass and a settle pass, which the other stateful policies
+    /// and decision-traced runs take.
+    SerialDecide,
 }
 
 impl KernelPath {
-    const ALL: [KernelPath; 3] = [
+    const ALL: [KernelPath; 4] = [
         KernelPath::FaultFree,
         KernelPath::Composite,
         KernelPath::Backoff,
+        KernelPath::SerialDecide,
     ];
 
     fn name(self) -> &'static str {
@@ -213,13 +227,16 @@ impl KernelPath {
             KernelPath::FaultFree => "E-T",
             KernelPath::Composite => "E-T composite",
             KernelPath::Backoff => "E-B",
+            KernelPath::SerialDecide => "E-T serial decide",
         }
     }
 
     fn config(self, n: usize, epochs: usize, chunk: usize) -> SimConfig {
         let faults = match self {
             KernelPath::Composite => FaultPlan::composite(SEED),
-            KernelPath::FaultFree | KernelPath::Backoff => FaultPlan::none(),
+            KernelPath::FaultFree | KernelPath::Backoff | KernelPath::SerialDecide => {
+                FaultPlan::none()
+            }
         };
         SimConfig::new(game_for(n), epochs, SEED)
             .unwrap()
@@ -231,7 +248,24 @@ impl KernelPath {
         match self {
             KernelPath::FaultFree | KernelPath::Composite => Box::new(policy_for(n)),
             KernelPath::Backoff => Box::new(ExponentialBackoff::new(n, SEED)),
+            KernelPath::SerialDecide => Box::new(SerialThreshold(policy_for(n))),
         }
+    }
+}
+
+/// A threshold policy that decides only through `wants_sprint`: with no
+/// snapshot to hand the kernel, every epoch takes the serial decide loop,
+/// and it allocates nothing per epoch (unlike the adaptive policy's
+/// Bellman refresh or a kit that records decision events).
+struct SerialThreshold(ThresholdPolicy);
+
+impl SprintPolicy for SerialThreshold {
+    fn name(&self) -> &'static str {
+        "E-T serial decide"
+    }
+
+    fn wants_sprint(&mut self, agent: usize, utility: f64) -> bool {
+        self.0.wants_sprint(agent, utility)
     }
 }
 
@@ -616,7 +650,10 @@ fn main() {
     let work = if quick { 2_000_000 } else { 20_000_000 };
     let reps = if quick { 2 } else { 3 };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let enforce_parallel = cores >= PARALLEL_JOBS;
+    // The parallel rows run one job per core: more would measure
+    // oversubscription, not the pool.
+    let parallel_jobs = cores;
+    let enforce_parallel = cores >= GATE_CORES;
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_engine.json");
@@ -625,7 +662,13 @@ fn main() {
     println!("engine hot-path smoke ({cores} cores, {reps} interleaved reps)");
     println!(
         "{:>8} {:>8} {:>14} {:>14} {:>14} {:>8} {:>8}",
-        "agents", "epochs", "ref ae/s", "serial ae/s", "jobs4 ae/s", "vs ref", "vs ser"
+        "agents",
+        "epochs",
+        "ref ae/s",
+        "serial ae/s",
+        format!("jobs{parallel_jobs} ae/s"),
+        "vs ref",
+        "vs ser"
     );
     let mut rows = String::new();
     let mut serial_speedup = 0.0;
@@ -652,7 +695,7 @@ fn main() {
                 KernelPath::FaultFree,
                 n,
                 epochs,
-                PARALLEL_JOBS,
+                parallel_jobs,
                 DEFAULT_CHUNK,
             );
             parallel = parallel.max(rate);
@@ -665,7 +708,7 @@ fn main() {
         // alone, at N=10⁶ like everywhere else.
         assert_eq!(
             serial_print, parallel_print,
-            "jobs=1 and jobs={PARALLEL_JOBS} must be byte-identical at N={n}"
+            "jobs=1 and jobs={parallel_jobs} must be byte-identical at N={n}"
         );
         let vs_ref = serial / reference;
         let vs_serial = parallel / serial;
@@ -714,8 +757,12 @@ fn main() {
     // across reps like the scaling rows. The fault-free E-T row is the
     // N=100k row above.
     let path_epochs = (work / GATE_AGENTS).max(10);
-    let other_paths = [KernelPath::Composite, KernelPath::Backoff];
-    let mut path_rates = [0.0f64; 2];
+    let other_paths = [
+        KernelPath::Composite,
+        KernelPath::Backoff,
+        KernelPath::SerialDecide,
+    ];
+    let mut path_rates = [0.0f64; 3];
     for _ in 0..reps {
         for (rate, &path) in path_rates.iter_mut().zip(&other_paths) {
             let (r, _) = engine_rate(path, GATE_AGENTS, path_epochs, 1, DEFAULT_CHUNK);
@@ -737,18 +784,53 @@ fn main() {
     }
     println!(" (ae/s at N={GATE_AGENTS}, serial)");
 
+    // E-B against E-T at jobs 1 and 2: how much each gains from a second
+    // job. Every leg interleaved across reps.
+    let decide_paths = [KernelPath::Backoff, KernelPath::FaultFree];
+    let mut decide_rates = [[0.0f64; DECIDE_JOBS.len()]; 2];
+    for _ in 0..reps {
+        for (rates, &path) in decide_rates.iter_mut().zip(&decide_paths) {
+            for (rate, &jobs) in rates.iter_mut().zip(&DECIDE_JOBS) {
+                let (r, _) = engine_rate(path, DECIDE_AGENTS, DECIDE_EPOCHS, jobs, DEFAULT_CHUNK);
+                *rate = rate.max(r);
+            }
+        }
+    }
+    let mut decide_rows = String::new();
+    for (rates, path) in decide_rates.iter().zip(decide_paths) {
+        let gain = rates[1] / rates[0];
+        println!(
+            "  decide    {} N={DECIDE_AGENTS}x{DECIDE_EPOCHS}: jobs 1 {:.1}M, jobs 2 {:.1}M ae/s \
+             ({gain:.2}x)",
+            path.name(),
+            rates[0] / 1e6,
+            rates[1] / 1e6
+        );
+        for (rate, jobs) in rates.iter().zip(DECIDE_JOBS) {
+            if !decide_rows.is_empty() {
+                decide_rows.push_str(",\n");
+            }
+            decide_rows.push_str(&format!(
+                "    {{\"path\": \"{}\", \"agents\": {DECIDE_AGENTS}, \"epochs\": {DECIDE_EPOCHS}, \
+                 \"jobs\": {jobs}, \"agent_epochs_per_sec\": {rate:.0}}}",
+                path.name()
+            ));
+        }
+    }
+
     // No-alloc contract: doubling the horizon must not add a single
     // allocation — everything the epoch loop needs exists before it runs.
     // Checked on every kernel path, serial and with the pool live: worker
     // spawn is per-run setup, the barrier steady state allocates nothing.
     let (alloc_n, alloc_epochs) = if quick { (5_000, 200) } else { (20_000, 400) };
+    let pool_jobs = parallel_jobs.max(2);
     let mut path_allocs = Vec::new();
     for path in KernelPath::ALL {
         let counts = [
             allocs_for(path, alloc_n, alloc_epochs, 1),
             allocs_for(path, alloc_n, alloc_epochs * 2, 1),
-            allocs_for(path, alloc_n, alloc_epochs, PARALLEL_JOBS),
-            allocs_for(path, alloc_n, alloc_epochs * 2, PARALLEL_JOBS),
+            allocs_for(path, alloc_n, alloc_epochs, pool_jobs),
+            allocs_for(path, alloc_n, alloc_epochs * 2, pool_jobs),
         ];
         println!(
             "  allocs    {}: serial {}/{}, pool {}/{} at {alloc_epochs}/{} epochs",
@@ -863,12 +945,13 @@ fn main() {
         None => "null".to_string(),
     };
     let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"jobs\": {PARALLEL_JOBS},\n  \
+        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"jobs\": {parallel_jobs},\n  \
          \"chunk_agents\": {DEFAULT_CHUNK},\n  \"reps\": {reps},\n  \
          \"gate_agents\": {GATE_AGENTS},\n  \
          \"rows\": [\n{rows}\n  ],\n  \
          \"chunk_sweep\": [\n{chunk_rows}\n  ],\n  \
          \"path_rows\": [\n{path_rows}\n  ],\n  \
+         \"decide_rows\": [\n{decide_rows}\n  ],\n  \
          \"spawn\": [\n{spawn_rows}\n  ],\n  \
          \"spawn_alloc_agents\": {SPAWN_ALLOC_AGENTS},\n  \
          \"spawn_allocs\": [\n{spawn_alloc_rows}\n  ],\n  \
@@ -936,7 +1019,7 @@ fn main() {
     }
     if enforce_parallel && parallel_speedup < MIN_PARALLEL_SPEEDUP {
         eprintln!(
-            "FAIL: {PARALLEL_JOBS} jobs {parallel_speedup:.2}x over serial, \
+            "FAIL: {parallel_jobs} jobs {parallel_speedup:.2}x over serial, \
              below the {MIN_PARALLEL_SPEEDUP:.1}x floor"
         );
         failed = true;
@@ -945,7 +1028,7 @@ fn main() {
         // The PR-over-PR trend gate: both snapshots must come from
         // multi-core hosts for the comparison to mean anything.
         if enforce_parallel
-            && prior_cores >= PARALLEL_JOBS as u64
+            && prior_cores >= GATE_CORES as u64
             && parallel_speedup < prior_speedup * REGRESSION_TOLERANCE
         {
             eprintln!(
